@@ -12,15 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from affine_transport import (
-    DomainSpec,
-    evaluate,
-    fit,
-    gen_linear,
-    rng_stream,
-    split,
-    subset,
-)
+from affine_transport import DomainSpec, gen_linear, rng_stream, split
+from affine_transport.cli import learning_curve
 
 SIZES = [8, 16, 32, 64, 128, 256, 512]
 
@@ -56,19 +49,9 @@ def main():
 
     lines = ["n_fit,mean_error,std_error,repeats"]
     print(f"{'n_fit':>6} {'mean_error':>12} {'std_error':>12}")
-    for size in sizes:
-        errors = np.empty(args.repeats)
-        for rep in range(args.repeats):
-            idx = np.sort(
-                rng_stream(args.seed, "curve", size, rep).choice(
-                    pool_s.n, size=size, replace=False
-                )
-            )
-            model = fit(subset(pool_s, idx), subset(pool_t, idx))
-            errors[rep] = evaluate(model, hold_s, hold_t).error_after[0]
-        mean, std = float(errors.mean()), float(errors.std())
-        lines.append(f"{size},{mean!r},{std!r},{args.repeats}")
-        print(f"{size:>6} {mean:>12.5f} {std:>12.5f}")
+    for p in learning_curve(pool_s, pool_t, hold_s, hold_t, sizes, args.repeats, args.seed):
+        lines.append(f"{p.n_fit},{p.mean_error!r},{p.std_error!r},{p.repeats}")
+        print(f"{p.n_fit:>6} {p.mean_error:>12.5f} {p.std_error:>12.5f}")
 
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -42,12 +42,21 @@ from .errors import (
     PairingMismatch,
     ShapeMismatch,
     SizeMismatch,
+    TooFewSamples,
 )
 from .gaussian_ot import at_map
 from .discrete_ot import MAX_EXACT
-from .transfer import affinity_score, apply, evaluate, fit, load_model, save_model
+from .transfer import (
+    affinity_score,
+    apply,
+    evaluate,
+    evaluate_pointwise,
+    fit,
+    load_model,
+    save_model,
+)
 
-__all__ = ["RunConfig", "LearningCurvePoint", "main", "build_parser"]
+__all__ = ["RunConfig", "LearningCurvePoint", "learning_curve", "main", "build_parser"]
 
 log = logging.getLogger("affine_transport.cli")
 
@@ -456,6 +465,43 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def learning_curve(
+    pool_s: TransitionDataset,
+    pool_t: TransitionDataset,
+    hold_s: TransitionDataset,
+    hold_t: TransitionDataset,
+    sizes,
+    repeats: int,
+    seed: int,
+) -> list[LearningCurvePoint]:
+    """Held-out pointwise error of fits on seeded subsamples of a paired pool.
+
+    For each size, ``repeats`` fits on rows drawn without replacement from
+    the pool are scored on the fixed holdout by their mean next-state error.
+    Only the pointwise part of the evaluation runs, so no transport is solved
+    and the holdout is not limited by the exact solver's cap.
+    """
+    for size in sizes:
+        if size > pool_s.n:
+            raise BadSpec(
+                f"fit size {size} exceeds the {pool_s.n} rows available after holdout"
+            )
+    if hold_s.n < 2:
+        raise TooFewSamples(f"need at least 2 held-out rows to evaluate, got {hold_s.n}")
+    points = []
+    for size in sizes:
+        errors = np.empty(repeats)
+        for rep in range(repeats):
+            idx = np.sort(
+                rng_stream(seed, "curve", size, rep).choice(pool_s.n, size=size, replace=False)
+            )
+            model = fit(subset(pool_s, idx), subset(pool_t, idx))
+            _, error_after, _ = evaluate_pointwise(model, hold_s, hold_t)
+            errors[rep] = error_after[0]
+        points.append(LearningCurvePoint(size, float(errors.mean()), float(errors.std()), repeats))
+    return points
+
+
 def cmd_learning_curve(args) -> int:
     cfg = _config(args)
     out = _require_out(cfg)
@@ -476,25 +522,7 @@ def cmd_learning_curve(args) -> int:
     fractions = (1.0 - args.holdout_fraction, args.holdout_fraction)
     pool_s, hold_s = split(src, fractions, cfg.seed)
     pool_t, hold_t = split(tgt, fractions, cfg.seed)
-    for size in sizes:
-        if size > pool_s.n:
-            raise BadSpec(
-                f"fit size {size} exceeds the {pool_s.n} rows available after holdout"
-            )
-    points = []
-    for size in sizes:
-        errors = np.empty(args.repeats)
-        for rep in range(args.repeats):
-            idx = np.sort(
-                rng_stream(cfg.seed, "curve", size, rep).choice(
-                    pool_s.n, size=size, replace=False
-                )
-            )
-            model = fit(subset(pool_s, idx), subset(pool_t, idx))
-            errors[rep] = evaluate(model, hold_s, hold_t).error_after[0]
-        points.append(
-            LearningCurvePoint(size, float(errors.mean()), float(errors.std()), args.repeats)
-        )
+    points = learning_curve(pool_s, pool_t, hold_s, hold_t, sizes, args.repeats, cfg.seed)
     rows = [dataclasses.asdict(p) for p in points]
     _write_rows(out, ["n_fit", "mean_error", "std_error", "repeats"], rows, cfg.fmt)
     log.info("wrote learning curve to %s", out)

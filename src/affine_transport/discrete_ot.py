@@ -16,7 +16,6 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, NonFinite, ShapeMismatch, SizeMismatch, TooLarge
-from .linalg import _readonly
 
 __all__ = [
     "TransportPlan",
@@ -30,42 +29,27 @@ __all__ = [
 MAX_EXACT = 4096
 MAX_BRUTE = 8
 
-_MARGINAL_TOL = 1e-8
-_WEIGHT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Coupling matrix with its marginals and transport cost."""
+    """Optimal matching with its transport cost.
 
-    coupling: np.ndarray
-    source_weights: np.ndarray
-    target_weights: np.ndarray
+    Source point i is matched to target point ``permutation[i]``; with n
+    uniformly weighted points per side the coupling puts mass 1/n on each
+    matched pair. ``total_cost`` is the mean squared distance over the pairs.
+    """
+
+    permutation: np.ndarray
     total_cost: float
 
     def __post_init__(self):
-        coupling = _readonly(self.coupling)
-        sw = _readonly(self.source_weights)
-        tw = _readonly(self.target_weights)
-        if coupling.shape != (sw.shape[0], tw.shape[0]):
-            raise ShapeMismatch(
-                f"coupling shape {coupling.shape} does not match weights "
-                f"({sw.shape[0]}, {tw.shape[0]})"
-            )
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "source_weights", sw)
-        object.__setattr__(self, "target_weights", tw)
-        if coupling.size and coupling.min() < 0.0:
-            raise ValueError(f"coupling has negative entry {coupling.min():.3e}")
-        for w, name in ((sw, "source_weights"), (tw, "target_weights")):
-            if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-                raise ValueError(f"{name} sum to {w.sum()!r}, expected 1")
-        row = np.abs(coupling.sum(axis=1) - sw).max() if coupling.size else 0.0
-        col = np.abs(coupling.sum(axis=0) - tw).max() if coupling.size else 0.0
-        if max(float(row), float(col)) > _MARGINAL_TOL:
-            raise ValueError(
-                f"coupling marginals deviate from weights by {max(row, col):.3e}"
-            )
+        perm = np.array(self.permutation, dtype=np.intp)
+        if perm.ndim != 1:
+            raise ShapeMismatch(f"permutation must be 1-D, got shape {perm.shape}")
+        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+            raise ValueError(f"matching is not a permutation of range({perm.size})")
+        perm.setflags(write=False)
+        object.__setattr__(self, "permutation", perm)
 
 
 def _sample_matrix(a, name: str) -> np.ndarray:
@@ -84,7 +68,8 @@ def empirical_w2(x: np.ndarray, y: np.ndarray):
 
     Solves the assignment problem on the squared Euclidean cost matrix and
     returns ``(distance, plan)`` where ``distance = sqrt(total_cost)`` and the
-    plan puts mass 1/n on each matched pair. Deterministic for fixed inputs.
+    plan holds the optimal matching as a permutation. Deterministic for fixed
+    inputs.
 
     Raises SizeMismatch if the sets differ in count, DimensionMismatch if
     they differ in width, and TooLarge above 4096 points per side.
@@ -103,11 +88,8 @@ def empirical_w2(x: np.ndarray, y: np.ndarray):
     cost = cdist(xs, ys, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum()) / n
-    coupling = np.zeros((n, n))
-    coupling[rows, cols] = 1.0 / n
-    weights = np.full(n, 1.0 / n)
-    plan = TransportPlan(coupling, weights, weights.copy(), total)
-    return float(np.sqrt(max(total, 0.0))), plan
+    # the cost is square, so rows is range(n) and cols alone is the matching
+    return float(np.sqrt(max(total, 0.0))), TransportPlan(cols, total)
 
 
 def brute_force_w2(x: np.ndarray, y: np.ndarray) -> float:

@@ -220,6 +220,43 @@ def test_learning_curve_rejects_oversized_fit(tmp_path):
     assert code == 5
 
 
+def test_learning_curve_above_solver_cap(tmp_path):
+    # 4100 held-out rows: above the exact cap, but the curve solves no transport
+    out = tmp_path / "pair"
+    out.mkdir()
+    assert run("synth", "--kind", "linear", "--n", 8200, "--out", out) == 0
+    curve_path = tmp_path / "curve.json"
+    code = run("learning-curve", "--source", out / "source.csv",
+               "--target", out / "target.csv", "--holdout-fraction", "0.5",
+               "--sizes", "8,32", "--repeats", "2", "--out", curve_path)
+    assert code == 0
+    rows = json.loads(curve_path.read_text())
+    assert [r["n_fit"] for r in rows] == [8, 32]
+
+
+def test_learning_curve_solves_no_transport(tmp_path, monkeypatch):
+    import affine_transport.discrete_ot as discrete_ot
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("learning-curve ran an assignment solve")
+
+    out = synth_linear(tmp_path, "pair", n=200)
+    monkeypatch.setattr(discrete_ot, "linear_sum_assignment", refuse)
+    code = run("learning-curve", "--source", out / "source.csv",
+               "--target", out / "target.csv", "--sizes", "8,32", "--repeats", "3",
+               "--out", tmp_path / "c.json")
+    assert code == 0
+
+
+def test_learning_curve_rejects_single_row_holdout(tmp_path, capsys):
+    out = synth_linear(tmp_path, "pair", n=10)
+    code = run("learning-curve", "--source", out / "source.csv",
+               "--target", out / "target.csv", "--sizes", "8", "--repeats", "1",
+               "--holdout-fraction", "0.1", "--out", tmp_path / "c.json")
+    assert code == 5
+    assert "error[TooFewSamples]" in capsys.readouterr().err
+
+
 def test_score_affine_pair(tmp_path, capsys):
     # a symmetric PSD row map is exactly what at_map can undo, so the score
     # should sit near one
@@ -253,6 +290,19 @@ def test_score_above_solver_cap(tmp_path):
     assert run("synth", "--kind", "linear", "--n", 4097, "--out", out) == 0
     code = run("score", "--source", out / "source.csv", "--target", out / "target.csv")
     assert code == 5
+
+
+def test_eval_above_solver_cap(tmp_path, capsys):
+    out = tmp_path / "pair"
+    out.mkdir()
+    assert run("synth", "--kind", "linear", "--n", 4097, "--out", out) == 0
+    model_path = tmp_path / "model.json"
+    assert run("fit", "--source", out / "source.csv", "--target", out / "target.csv",
+               "--out", model_path) == 0
+    code = run("eval", "--model", model_path, "--source", out / "source.csv",
+               "--target", out / "target.csv", "--out", tmp_path / "r.json")
+    assert code == 5
+    assert "error[TooLarge]" in capsys.readouterr().err
 
 
 def test_fit_and_eval_rerun_byte_identical(tmp_path):

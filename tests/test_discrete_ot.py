@@ -25,7 +25,7 @@ def test_identical_sets():
     x = np.random.default_rng(0).standard_normal((10, 2))
     w2, plan = empirical_w2(x, x)
     assert w2 == 0.0
-    np.testing.assert_array_equal(plan.coupling, np.eye(10) / 10.0)
+    np.testing.assert_array_equal(plan.permutation, np.arange(10))
 
 
 def test_two_point_line():
@@ -33,7 +33,7 @@ def test_two_point_line():
     # matching 0->2, 1->3 costs (4+4)/2 = 4; crossing costs (9+1)/2 = 5
     assert w2 == 2.0
     assert plan.total_cost == 4.0
-    np.testing.assert_array_equal(plan.coupling, np.eye(2) / 2.0)
+    np.testing.assert_array_equal(plan.permutation, [0, 1])
 
 
 def test_shifted_triangle():
@@ -89,9 +89,10 @@ def test_plan_is_scaled_permutation():
     x = rng.standard_normal((40, 2))
     y = rng.standard_normal((40, 2))
     _, plan = empirical_w2(x, y)
-    np.testing.assert_array_equal(plan.coupling.sum(axis=1), np.full(40, 1.0 / 40))
-    np.testing.assert_array_equal(plan.coupling.sum(axis=0), np.full(40, 1.0 / 40))
-    assert np.count_nonzero(plan.coupling) == 40
+    # every source point goes to exactly one target point and every target
+    # point receives exactly one: mass 1/40 on each of 40 pairs
+    assert plan.permutation.shape == (40,)
+    np.testing.assert_array_equal(np.bincount(plan.permutation, minlength=40), np.ones(40))
 
 
 def test_plan_cost_consistent_with_coupling():
@@ -100,18 +101,21 @@ def test_plan_cost_consistent_with_coupling():
     y = rng.standard_normal((25, 3))
     _, plan = empirical_w2(x, y)
     sq = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-    assert abs(plan.total_cost - (plan.coupling * sq).sum()) <= 1e-12 * (1.0 + plan.total_cost)
+    matched = sq[np.arange(25), plan.permutation].sum() / 25
+    assert abs(plan.total_cost - matched) <= 1e-12 * (1.0 + plan.total_cost)
 
 
 def test_plan_rejects_bad_shapes():
     with pytest.raises(ShapeMismatch):
-        TransportPlan(np.eye(2) / 2.0, np.full(3, 1 / 3), np.full(2, 0.5), 0.0)
+        TransportPlan(np.eye(2, dtype=int), 0.0)
 
 
 def test_plan_rejects_broken_marginals():
-    coupling = np.array([[0.5, 0.0], [0.0, 0.25]])
+    # target 0 would receive both points' mass and target 1 none
     with pytest.raises(ValueError):
-        TransportPlan(coupling, np.full(2, 0.5), np.full(2, 0.5), 0.0)
+        TransportPlan(np.array([0, 0]), 0.0)
+    with pytest.raises(ValueError):
+        TransportPlan(np.array([0, 2]), 0.0)
 
 
 @settings(max_examples=30, deadline=None)

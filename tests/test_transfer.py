@@ -20,10 +20,12 @@ from affine_transport import (
     apply,
     affinity_score,
     evaluate,
+    evaluate_pointwise,
     fit,
     load_model,
     procrustes,
     save_model,
+    subset,
 )
 from helpers import affine_rows_pair, linear_pair, puck_pair, random_orthogonal, random_spd
 
@@ -219,6 +221,32 @@ def test_evaluate_reduces_error_on_affine_pair():
     report = evaluate(fit(fit_s, fit_t), eval_s, eval_t)
     assert report.error_after[0] < report.error_before[0]
     assert not report.eval_on_fit_data
+
+
+def test_pointwise_part_matches_evaluate_bit_for_bit():
+    for src, tgt in (
+        linear_pair(18, 300, noise=0.02, target_scales=np.array([1.8, 0.6, 1.1])),
+        puck_pair(19, 300, noise=0.01),
+    ):
+        model = fit(src, tgt)
+        rows = np.arange(299, 99, -1)
+        held_s, held_t = subset(src, rows), subset(tgt, rows)
+        report = evaluate(model, held_s, held_t)
+        before, after, transported = evaluate_pointwise(model, held_s, held_t)
+        assert before == report.error_before
+        assert after == report.error_after
+        np.testing.assert_array_equal(transported, apply(model, held_s.rows))
+
+
+def test_pointwise_part_runs_the_input_checks():
+    src, tgt = linear_pair(20, 50)
+    model = fit(src, tgt)
+    short = TransitionDataset(3, 2, tgt.rows[:40], "t", 20)
+    with pytest.raises(PairingMismatch):
+        evaluate_pointwise(model, src, short)
+    puck_s, puck_t = puck_pair(20, 50)
+    with pytest.raises(DimensionMismatch):
+        evaluate_pointwise(model, puck_s, puck_t)
 
 
 def test_transported_distance_stays_under_budget():
