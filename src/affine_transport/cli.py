@@ -24,6 +24,7 @@ import numpy as np
 from .data import (
     DomainSpec,
     TransitionDataset,
+    check_paired,
     gen_linear,
     gen_puck,
     load_csv,
@@ -56,7 +57,7 @@ from .transfer import (
     save_model,
 )
 
-__all__ = ["RunConfig", "LearningCurvePoint", "learning_curve", "main", "build_parser"]
+__all__ = ["LearningCurvePoint", "learning_curve", "main", "build_parser"]
 
 log = logging.getLogger("affine_transport.cli")
 
@@ -82,15 +83,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Global flags shared by every subcommand."""
-
-    seed: int
-    out: str | None
-    fmt: str
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--source", required=True)
     curve.add_argument("--target", required=True)
     curve.add_argument("--sizes", default="8,32,128,512", help="comma separated fit sizes")
-    curve.add_argument("--repeats", type=int, default=20)
+    curve.add_argument("--repeats", type=_positive_int, default=20)
     curve.add_argument(
         "--holdout-fraction",
         type=float,
@@ -208,14 +200,10 @@ def _configure_logging() -> None:
     logging.getLogger("affine_transport").setLevel(level)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, out=args.out, fmt=args.fmt)
-
-
-def _require_out(cfg: RunConfig) -> str:
-    if not cfg.out:
+def _require_out(args) -> str:
+    if not args.out:
         raise UsageError("--out is required for this command")
-    return cfg.out
+    return args.out
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -257,109 +245,109 @@ _PAIR_SPEC_KEYS = {
 }
 
 
-def _pair_from_spec_file(args):
-    text = Path(args.spec).read_text(encoding="utf-8")
+def _read_spec(path) -> dict:
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise BadSpec(f"spec file {args.spec} is not valid JSON: {exc}")
+        raise BadSpec(f"spec file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise BadSpec(f"spec file {args.spec} must hold a JSON object")
+        raise BadSpec(f"spec file {path} must hold a JSON object")
+    return doc
+
+
+def _doc_from_flags(args) -> dict:
+    """The pair spec document that synth's flags describe, as a --spec file holds it."""
+    if args.kind is None:
+        raise UsageError("synth needs --kind (or a --spec file)")
+    if args.n is None:
+        raise UsageError("synth needs --n (or a --spec file with 'n')")
+    doc = {"kind": args.kind, "n": args.n}
+    if args.kind == "linear":
+        doc["state_dim"], doc["action_dim"] = args.state_dim, args.action_dim
+    for side, default_friction in (("source", "0.1,0.1"), ("target", "0.1,0.4")):
+        noise = getattr(args, f"{side}_noise")
+        part = {
+            "label": getattr(args, f"{side}_label"),
+            "noise_std": args.noise if noise is None else noise,
+        }
+        if args.kind == "puck":
+            text = getattr(args, f"{side}_friction") or default_friction
+            part["friction"] = _float_pair(text, f"--{side}-friction")
+            part["curl"] = getattr(args, f"{side}_curl")
+        else:
+            for field, name, parse in (
+                ("scales", "scales", _float_list),
+                ("inverted", "invert", _int_list),
+                ("disabled", "disable", _int_list),
+            ):
+                text = getattr(args, f"{side}_{name}")
+                if text:
+                    part[field] = parse(text, f"--{side}-{name}")
+        doc[side] = part
+    return doc
+
+
+def _spec_int(doc: dict, key: str, default=None) -> int:
+    value = doc.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadSpec(f"spec field {key!r} must be an integer, got {value!r}")
+
+
+def _pair_from_doc(doc: dict, seed: int):
+    """``(n, action_dim, source, target)`` from a pair spec document.
+
+    Both sides start from the shared fields (kind; for linear pairs the
+    dynamics and controls, drawn from the seed unless given) and the side's
+    label, then take the side's own object on top.
+    """
     unknown = set(doc) - _PAIR_SPEC_KEYS
     if unknown:
         raise BadSpec(f"unknown spec file fields: {sorted(unknown)}")
     kind = doc.get("kind")
     if kind not in ("linear", "puck"):
         raise BadSpec(f"spec file must set kind to 'linear' or 'puck', got {kind!r}")
-    n = args.n if args.n is not None else doc.get("n")
-    if n is None:
+    if doc.get("n") is None:
         raise BadSpec("sample count is missing: set 'n' in the spec file or pass --n")
-    n = int(n)
+    n = _spec_int(doc, "n")
     if n < 1:
         raise BadSpec(f"sample count must be positive, got {n}")
-    if kind == "puck":
-        source = DomainSpec.from_dict({"label": "source", **doc.get("source", {})}, kind=kind)
-        target = DomainSpec.from_dict({"label": "target", **doc.get("target", {})}, kind=kind)
-        return n, 2, source, target
-    d = int(doc.get("state_dim", 3))
-    k = int(doc.get("action_dim", 2))
-    if d < 1 or k < 1:
-        raise BadSpec(f"state_dim and action_dim must be positive, got {d} and {k}")
-    default_m, default_b = _default_dynamics(args.seed, d, k)
-    m = np.asarray(doc["dynamics"], dtype=np.float64) if "dynamics" in doc else default_m
-    b = np.asarray(doc["controls"], dtype=np.float64) if "controls" in doc else default_b
-    base = {"kind": kind, "dynamics": m, "controls": b}
-    source = DomainSpec.from_dict({**base, "label": "source", **doc.get("source", {})})
-    target = DomainSpec.from_dict({**base, "label": "target", **doc.get("target", {})})
-    return n, k, source, target
-
-
-def _pair_from_flags(args):
-    if args.kind is None:
-        raise UsageError("synth needs --kind (or a --spec file)")
-    if args.n is None:
-        raise UsageError("synth needs --n (or a --spec file with 'n')")
-    noise_s = args.source_noise if args.source_noise is not None else args.noise
-    noise_t = args.target_noise if args.target_noise is not None else args.noise
-    if args.kind == "puck":
-        fs = _float_pair(args.source_friction or "0.1,0.1", "--source-friction")
-        ft = _float_pair(args.target_friction or "0.1,0.4", "--target-friction")
-        source = DomainSpec(
-            kind="puck",
-            label=args.source_label,
-            noise_std=noise_s,
-            friction_x=fs[0],
-            friction_y=fs[1],
-            curl=args.source_curl,
-        )
-        target = DomainSpec(
-            kind="puck",
-            label=args.target_label,
-            noise_std=noise_t,
-            friction_x=ft[0],
-            friction_y=ft[1],
-            curl=args.target_curl,
-        )
-        return args.n, 2, source, target
-    d, k = args.state_dim, args.action_dim
-    m, b = _default_dynamics(args.seed, d, k)
-
-    def domain(label, noise, scales, invert, disable, side):
-        return DomainSpec(
-            kind="linear",
-            label=label,
-            noise_std=noise,
-            dynamics=m,
-            controls=b,
-            scales=np.asarray(_float_list(scales, f"--{side}-scales")) if scales else None,
-            inverted=tuple(_int_list(invert, f"--{side}-invert")) if invert else (),
-            disabled=tuple(_int_list(disable, f"--{side}-disable")) if disable else (),
-        )
-
-    source = domain(
-        args.source_label, noise_s, args.source_scales, args.source_invert,
-        args.source_disable, "source",
-    )
-    target = domain(
-        args.target_label, noise_t, args.target_scales, args.target_invert,
-        args.target_disable, "target",
-    )
-    return args.n, k, source, target
+    base = {"kind": kind}
+    k = 2
+    if kind == "linear":
+        d = _spec_int(doc, "state_dim", 3)
+        k = _spec_int(doc, "action_dim", 2)
+        if d < 1 or k < 1:
+            raise BadSpec(f"state_dim and action_dim must be positive, got {d} and {k}")
+        m, b = _default_dynamics(seed, d, k)
+        base["dynamics"] = doc.get("dynamics", m)
+        base["controls"] = doc.get("controls", b)
+    sides = []
+    for side in ("source", "target"):
+        part = doc.get(side, {})
+        if not isinstance(part, dict):
+            raise BadSpec(f"spec field {side!r} must be an object, got {part!r}")
+        sides.append(DomainSpec.from_dict({**base, "label": side, **part}))
+    return n, k, sides[0], sides[1]
 
 
 def cmd_synth(args) -> int:
-    cfg = _config(args)
-    out = Path(_require_out(cfg))
+    out = Path(_require_out(args))
     if not out.is_dir():
         raise OSError(f"output directory does not exist: {out}")
     if args.spec is not None:
-        n, k, source_spec, target_spec = _pair_from_spec_file(args)
+        doc = _read_spec(args.spec)
+        if args.n is not None:
+            doc["n"] = args.n
     else:
-        n, k, source_spec, target_spec = _pair_from_flags(args)
-    actions = rng_stream(cfg.seed, "actions").standard_normal((n, k))
+        doc = _doc_from_flags(args)
+    n, k, source_spec, target_spec = _pair_from_doc(doc, args.seed)
+    actions = rng_stream(args.seed, "actions").standard_normal((n, k))
     generate = gen_puck if source_spec.kind == "puck" else gen_linear
-    src = generate(source_spec, actions, cfg.seed)
-    tgt = generate(target_spec, actions, cfg.seed)
+    src = generate(source_spec, actions, args.seed)
+    tgt = generate(target_spec, actions, args.seed)
     save_dataset(src, out / "source.csv")
     save_dataset(tgt, out / "target.csv")
     log.info("wrote %s and %s", out / "source.csv", out / "target.csv")
@@ -375,8 +363,7 @@ def _load_pair(source_path, target_path):
 
 
 def cmd_fit(args) -> int:
-    cfg = _config(args)
-    out = _require_out(cfg)
+    out = _require_out(args)
     src, tgt = _load_pair(args.source, args.target)
     model = fit(src, tgt)
     save_model(model, out)
@@ -417,22 +404,6 @@ def _write_rows(path, fieldnames, rows, fmt) -> None:
         )
 
 
-_REPORT_FIELDS = [
-    "error_before_mean",
-    "error_before_std",
-    "error_after_mean",
-    "error_after_std",
-    "w2_before",
-    "w2_after",
-    "rho_aff",
-    "bound_value",
-    "n_fit",
-    "n_eval",
-    "eval_on_fit_data",
-    "procrustes_centering",
-]
-
-
 def _report_row(report) -> dict:
     return {
         "error_before_mean": report.error_before[0],
@@ -446,17 +417,16 @@ def _report_row(report) -> dict:
         "n_fit": report.n_fit,
         "n_eval": report.n_eval,
         "eval_on_fit_data": report.eval_on_fit_data,
-        "procrustes_centering": report.procrustes_centering,
     }
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(args)
-    out = _require_out(cfg)
+    out = _require_out(args)
     model = load_model(args.model)
     src, tgt = _load_pair(args.source, args.target)
     report = evaluate(model, src, tgt)
-    _write_rows(out, _REPORT_FIELDS, [_report_row(report)], cfg.fmt)
+    row = _report_row(report)
+    _write_rows(out, list(row), [row], args.fmt)
     log.info("wrote report to %s", out)
     print(
         f"eval: n_eval={report.n_eval} error_before={report.error_before[0]!r} "
@@ -503,10 +473,7 @@ def learning_curve(
 
 
 def cmd_learning_curve(args) -> int:
-    cfg = _config(args)
-    out = _require_out(cfg)
-    if args.repeats < 1:
-        raise UsageError(f"--repeats must be at least 1, got {args.repeats}")
+    out = _require_out(args)
     sizes = _int_list(args.sizes, "--sizes")
     if not sizes or any(s < 2 for s in sizes):
         raise UsageError(f"--sizes needs fit sizes of at least 2, got {args.sizes!r}")
@@ -515,16 +482,13 @@ def cmd_learning_curve(args) -> int:
             f"--holdout-fraction must be in (0, 1), got {args.holdout_fraction}"
         )
     src, tgt = _load_pair(args.source, args.target)
-    if src.n != tgt.n:
-        raise PairingMismatch(
-            f"paired datasets must have equal row counts, got {src.n} and {tgt.n}"
-        )
+    check_paired(src, tgt)
     fractions = (1.0 - args.holdout_fraction, args.holdout_fraction)
-    pool_s, hold_s = split(src, fractions, cfg.seed)
-    pool_t, hold_t = split(tgt, fractions, cfg.seed)
-    points = learning_curve(pool_s, pool_t, hold_s, hold_t, sizes, args.repeats, cfg.seed)
+    pool_s, hold_s = split(src, fractions, args.seed)
+    pool_t, hold_t = split(tgt, fractions, args.seed)
+    points = learning_curve(pool_s, pool_t, hold_s, hold_t, sizes, args.repeats, args.seed)
     rows = [dataclasses.asdict(p) for p in points]
-    _write_rows(out, ["n_fit", "mean_error", "std_error", "repeats"], rows, cfg.fmt)
+    _write_rows(out, ["n_fit", "mean_error", "std_error", "repeats"], rows, args.fmt)
     log.info("wrote learning curve to %s", out)
     for p in points:
         print(
@@ -535,22 +499,19 @@ def cmd_learning_curve(args) -> int:
 
 
 def cmd_score(args) -> int:
-    cfg = _config(args)
     src, tgt = _load_pair(args.source, args.target)
-    if src.n != tgt.n:
-        raise PairingMismatch(
-            f"paired datasets must have equal row counts, got {src.n} and {tgt.n}"
-        )
+    check_paired(src, tgt)
     transport = at_map(src.rows, tgt.rows)
     rho = affinity_score(transport.apply(src.rows), tgt.rows)
     print(f"rho_aff={rho!r} n={src.n}")
-    if cfg.out:
-        _write_rows(cfg.out, ["rho_aff", "n"], [{"rho_aff": rho, "n": src.n}], cfg.fmt)
+    if args.out:
+        _write_rows(args.out, ["rho_aff", "n"], [{"rho_aff": rho, "n": src.n}], args.fmt)
     return EXIT_OK
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (OSError, MalformedCsv, MissingManifest, MalformedModel)):
+    io_errors = (OSError, UnicodeDecodeError, MalformedCsv, MissingManifest, MalformedModel)
+    if isinstance(exc, io_errors):
         return EXIT_IO
     if isinstance(exc, (PairingMismatch, SizeMismatch)):
         return EXIT_PAIRING
@@ -574,7 +535,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AffineTransportError, OSError) as exc:
+    except (AffineTransportError, OSError, UnicodeDecodeError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
 

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,11 +27,13 @@ from .errors import (
     MalformedCsv,
     MissingManifest,
     NonFinite,
+    PairingMismatch,
 )
 from .linalg import _readonly
 
 __all__ = [
     "TransitionDataset",
+    "check_paired",
     "DomainSpec",
     "rng_stream",
     "gen_linear",
@@ -57,7 +60,8 @@ def rng_stream(seed: int, *tags) -> np.random.Generator:
         raise BadSpec(f"seed must be non-negative, got {seed}")
     key = tuple(
         int.from_bytes(
-            hashlib.blake2s(str(t).encode("utf-8"), digest_size=4).digest(), "big"
+            hashlib.blake2s(str(t).encode("utf-8", "surrogatepass"), digest_size=4).digest(),
+            "big",
         )
         for t in tags
     )
@@ -113,6 +117,32 @@ class TransitionDataset:
         return self.rows[:, self.state_dim + self.action_dim :]
 
 
+def check_paired(source: TransitionDataset, target: TransitionDataset) -> None:
+    """Raise unless row i of ``source`` can be paired with row i of ``target``.
+
+    DimensionMismatch if the (state_dim, action_dim) differ, PairingMismatch
+    if the row counts differ.
+    """
+    if (source.state_dim, source.action_dim) != (target.state_dim, target.action_dim):
+        raise DimensionMismatch(
+            f"source dims ({source.state_dim}, {source.action_dim}) differ from "
+            f"target dims ({target.state_dim}, {target.action_dim})"
+        )
+    if source.n != target.n:
+        raise PairingMismatch(
+            f"paired datasets must have equal row counts, got {source.n} and {target.n}"
+        )
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise BadSpec(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Parameters of one synthetic domain.
@@ -142,14 +172,24 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "puck"):
             raise BadSpec(f"unknown domain kind {self.kind!r}")
+        for field in ("noise_std", "friction_x", "friction_y", "curl", "gravity"):
+            object.__setattr__(self, field, _real(getattr(self, field), field))
         if not self.noise_std >= 0.0:
             raise BadSpec(f"noise_std must be >= 0, got {self.noise_std!r}")
         for field in ("dynamics", "controls", "scales"):
             value = getattr(self, field)
             if value is not None:
-                object.__setattr__(self, field, _readonly(np.asarray(value, dtype=np.float64)))
-        object.__setattr__(self, "inverted", tuple(int(i) for i in self.inverted))
-        object.__setattr__(self, "disabled", tuple(int(i) for i in self.disabled))
+                try:
+                    value = np.asarray(value, dtype=np.float64)
+                except (TypeError, ValueError, OverflowError):
+                    raise BadSpec(f"{field} must be an array of numbers, got {value!r}")
+                object.__setattr__(self, field, _readonly(value))
+        for field in ("inverted", "disabled"):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, tuple(int(i) for i in value))
+            except (TypeError, ValueError, OverflowError):
+                raise BadSpec(f"{field} must be a list of indices, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict, kind: str | None = None) -> "DomainSpec":
@@ -161,7 +201,7 @@ class DomainSpec:
             fr = doc.pop("friction")
             try:
                 doc["friction_x"], doc["friction_y"] = (float(fr[0]), float(fr[1]))
-            except (TypeError, ValueError, IndexError):
+            except (TypeError, ValueError, IndexError, KeyError, OverflowError):
                 raise BadSpec(f"friction must be a pair of numbers, got {fr!r}")
         if kind is not None:
             doc.setdefault("kind", kind)
@@ -311,12 +351,15 @@ def load_csv(csv_path, manifest_path=None) -> TransitionDataset:
     try:
         d = int(manifest["state_dim"])
         k = int(manifest["action_dim"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise MalformedCsv(f"manifest {mp} must carry integer state_dim and action_dim")
     label = str(manifest.get("domain_label", "domain"))
     seed = manifest.get("seed")
     if seed is not None:
-        seed = int(seed)
+        try:
+            seed = int(seed)
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedCsv(f"manifest {mp} seed must be an integer, got {seed!r}")
 
     text = csv_path.read_text(encoding="utf-8")
     lines = text.split("\n")

@@ -63,6 +63,20 @@ def _sample_matrix(a, name: str) -> np.ndarray:
     return x
 
 
+def _sample_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both sample sets as (n, d) float matrices, checked to be non-empty and
+    of equal count and width."""
+    xs = _sample_matrix(x, "x")
+    ys = _sample_matrix(y, "y")
+    if xs.shape[0] != ys.shape[0]:
+        raise SizeMismatch(f"sample counts differ: {xs.shape[0]} vs {ys.shape[0]}")
+    if xs.shape[1] != ys.shape[1]:
+        raise DimensionMismatch(f"sample widths differ: {xs.shape[1]} vs {ys.shape[1]}")
+    if xs.shape[0] == 0:
+        raise SizeMismatch("cannot transport between empty sample sets")
+    return xs, ys
+
+
 def empirical_w2(x: np.ndarray, y: np.ndarray):
     """Exact W2 between two equal-size point sets with uniform weights.
 
@@ -74,15 +88,8 @@ def empirical_w2(x: np.ndarray, y: np.ndarray):
     Raises SizeMismatch if the sets differ in count, DimensionMismatch if
     they differ in width, and TooLarge above 4096 points per side.
     """
-    xs = _sample_matrix(x, "x")
-    ys = _sample_matrix(y, "y")
-    if xs.shape[0] != ys.shape[0]:
-        raise SizeMismatch(f"sample counts differ: {xs.shape[0]} vs {ys.shape[0]}")
-    if xs.shape[1] != ys.shape[1]:
-        raise DimensionMismatch(f"sample widths differ: {xs.shape[1]} vs {ys.shape[1]}")
+    xs, ys = _sample_pair(x, y)
     n = xs.shape[0]
-    if n == 0:
-        raise SizeMismatch("cannot transport between empty sample sets")
     if n > MAX_EXACT:
         raise TooLarge(f"exact assignment is capped at {MAX_EXACT} points, got {n}")
     cost = cdist(xs, ys, metric="sqeuclidean")
@@ -98,15 +105,8 @@ def brute_force_w2(x: np.ndarray, y: np.ndarray) -> float:
     Kept deliberately independent of the assignment path: the cost of each
     permutation is accumulated with direct arithmetic.
     """
-    xs = _sample_matrix(x, "x")
-    ys = _sample_matrix(y, "y")
-    if xs.shape[0] != ys.shape[0]:
-        raise SizeMismatch(f"sample counts differ: {xs.shape[0]} vs {ys.shape[0]}")
-    if xs.shape[1] != ys.shape[1]:
-        raise DimensionMismatch(f"sample widths differ: {xs.shape[1]} vs {ys.shape[1]}")
+    xs, ys = _sample_pair(x, y)
     n = xs.shape[0]
-    if n == 0:
-        raise SizeMismatch("cannot transport between empty sample sets")
     if n > MAX_BRUTE:
         raise TooLarge(f"enumeration is capped at {MAX_BRUTE} points, got {n}")
     best = np.inf

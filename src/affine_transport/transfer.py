@@ -21,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TransitionDataset, dataset_fingerprint
+from .data import TransitionDataset, check_paired, dataset_fingerprint
 from .discrete_ot import empirical_w2, pointwise_error
 from .errors import (
     DegenerateTarget,
     DimensionMismatch,
     MalformedModel,
-    PairingMismatch,
     ShapeMismatch,
     SizeMismatch,
     TooFewSamples,
@@ -143,15 +142,7 @@ def fit(source: TransitionDataset, target: TransitionDataset) -> TransferModel:
     The Procrustes rotation is estimated on mean-centered rows, then affine
     transport is fitted from the rotated source to the target.
     """
-    if (source.state_dim, source.action_dim) != (target.state_dim, target.action_dim):
-        raise DimensionMismatch(
-            f"source dims ({source.state_dim}, {source.action_dim}) differ from "
-            f"target dims ({target.state_dim}, {target.action_dim})"
-        )
-    if source.n != target.n:
-        raise PairingMismatch(
-            f"paired datasets must have equal row counts, got {source.n} and {target.n}"
-        )
+    check_paired(source, target)
     if source.n < 2:
         raise TooFewSamples(f"need at least 2 paired rows to fit, got {source.n}")
     xs = source.rows
@@ -200,8 +191,14 @@ def affinity_score(transported: np.ndarray, target: np.ndarray) -> float:
     if not np.any(centered):
         raise DegenerateTarget("target samples are all identical; the score is undefined")
     w2, _ = empirical_w2(t, y)
-    bound = normal_approx_bound(estimate_moments(y).covariance)
-    return min(1.0, max(0.0, 1.0 - w2 / bound))
+    return _rho_and_bound(w2, y)[0]
+
+
+def _rho_and_bound(w2: float, target: np.ndarray) -> tuple[float, float]:
+    """``(rho, bound)``: 1 - w2 / bound clamped to [0, 1], and the budget
+    bound = sqrt(2 tr Sigma(target)) it is normalized by."""
+    bound = normal_approx_bound(estimate_moments(target).covariance)
+    return min(1.0, max(0.0, 1.0 - w2 / bound)), bound
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,6 @@ class TransferReport:
     n_fit: int
     n_eval: int
     eval_on_fit_data: bool
-    procrustes_centering: str = "centered"
 
 
 def evaluate_pointwise(
@@ -237,19 +233,11 @@ def evaluate_pointwise(
     of per-row next-state error of the source and of the transported source
     against the target, and the transported source rows.
     """
-    if (source.state_dim, source.action_dim) != (target.state_dim, target.action_dim):
-        raise DimensionMismatch(
-            f"source dims ({source.state_dim}, {source.action_dim}) differ from "
-            f"target dims ({target.state_dim}, {target.action_dim})"
-        )
     if source.width != model.dim:
         raise DimensionMismatch(
             f"datasets have width {source.width}, model expects {model.dim}"
         )
-    if source.n != target.n:
-        raise PairingMismatch(
-            f"paired datasets must have equal row counts, got {source.n} and {target.n}"
-        )
+    check_paired(source, target)
     transported = apply(model, source.rows)
     sd = model.state_dim
     before = pointwise_error(source.next_states, target.next_states)
@@ -268,8 +256,7 @@ def evaluate(
     error_before, error_after, transported = evaluate_pointwise(model, source, target)
     w2_before, _ = empirical_w2(source.rows, target.rows)
     w2_after, _ = empirical_w2(transported, target.rows)
-    bound = normal_approx_bound(estimate_moments(target.rows).covariance)
-    rho = min(1.0, max(0.0, 1.0 - w2_after / bound))
+    rho, bound = _rho_and_bound(w2_after, target.rows)
     on_fit = (
         dataset_fingerprint(source) == model.meta.source_hash
         and dataset_fingerprint(target) == model.meta.target_hash
@@ -337,8 +324,12 @@ def load_model(path) -> TransferModel:
         dim = int(_model_field(doc, "dim"))
         state_dim = int(_model_field(doc, "state_dim"))
         action_dim = int(_model_field(doc, "action_dim"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedModel("model dimensions must be integers")
+    if state_dim < 1 or action_dim < 1:
+        raise MalformedModel(
+            f"model dimensions must be positive, got state_dim={state_dim} action_dim={action_dim}"
+        )
     if dim != 2 * state_dim + action_dim:
         raise MalformedModel(
             f"dim {dim} does not equal 2*state_dim+action_dim = {2 * state_dim + action_dim}"
@@ -348,7 +339,7 @@ def load_model(path) -> TransferModel:
         raw = _model_field(doc, name)
         try:
             arr = np.asarray([float(v) for v in raw], dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MalformedModel(f"field {name!r} must be a flat list of numbers")
         if arr.shape != (size,):
             raise MalformedModel(f"field {name!r} has {arr.shape[0]} entries, expected {size}")
@@ -365,7 +356,7 @@ def load_model(path) -> TransferModel:
             source_hash=str(meta_doc["source_hash"]),
             target_hash=str(meta_doc["target_hash"]),
         )
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise MalformedModel("model meta must carry n_fit, seed, source_hash, target_hash")
     rotation = arrays["R"].reshape(dim, dim)
     at = AffineMap(arrays["A"].reshape(dim, dim), arrays["b"])

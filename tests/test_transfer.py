@@ -211,7 +211,6 @@ def test_evaluate_identity_pair():
     assert report.error_before == (0.0, 0.0)
     assert report.error_after[0] <= 1e-6
     assert report.rho_aff >= 0.999
-    assert report.procrustes_centering == "centered"
 
 
 def test_evaluate_reduces_error_on_affine_pair():
