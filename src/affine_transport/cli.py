@@ -41,8 +41,6 @@ from .errors import (
     MalformedModel,
     MissingManifest,
     PairingMismatch,
-    ShapeMismatch,
-    SizeMismatch,
     TooFewSamples,
 )
 from .gaussian_ot import at_map
@@ -315,12 +313,17 @@ def _pair_from_doc(doc: dict, seed: int):
     if n < 1:
         raise BadSpec(f"sample count must be positive, got {n}")
     base = {"kind": kind}
-    k = 2
+    d, k = 2, 2
     if kind == "linear":
         d = _spec_int(doc, "state_dim", 3)
         k = _spec_int(doc, "action_dim", 2)
         if d < 1 or k < 1:
             raise BadSpec(f"state_dim and action_dim must be positive, got {d} and {k}")
+    # the arrays synth allocates: rows, dynamics, controls
+    for shape in ((n, 2 * d + k), (d, d), (d, k)):
+        if shape[0] * shape[1] * 8 > np.iinfo(np.intp).max:
+            raise BadSpec(f"spec asks for a float64 array of shape {shape}, too large to index")
+    if kind == "linear":
         m, b = _default_dynamics(seed, d, k)
         base["dynamics"] = doc.get("dynamics", m)
         base["controls"] = doc.get("controls", b)
@@ -366,13 +369,14 @@ def cmd_fit(args) -> int:
     out = _require_out(args)
     src, tgt = _load_pair(args.source, args.target)
     model = fit(src, tgt)
-    save_model(model, out)
-    log.info("wrote model to %s", out)
     frob = float(np.linalg.norm(model.composed.matrix))
+    # scored before the model is written, so a failing fit leaves no file
     if src.n <= MAX_EXACT:
         rho = repr(affinity_score(apply(model, src.rows), tgt.rows))
     else:
         rho = "n/a"
+    save_model(model, out)
+    log.info("wrote model to %s", out)
     print(
         f"fit: n={model.meta.n_fit} dim={model.dim} state_dim={model.state_dim} "
         f"action_dim={model.action_dim} frob_A={frob!r} rho_aff={rho}"
@@ -513,9 +517,9 @@ def _exit_code_for(exc: Exception) -> int:
     io_errors = (OSError, UnicodeDecodeError, MalformedCsv, MissingManifest, MalformedModel)
     if isinstance(exc, io_errors):
         return EXIT_IO
-    if isinstance(exc, (PairingMismatch, SizeMismatch)):
+    if isinstance(exc, PairingMismatch):
         return EXIT_PAIRING
-    if isinstance(exc, (DimensionMismatch, ShapeMismatch)):
+    if isinstance(exc, DimensionMismatch):
         return EXIT_DIMENSION
     return EXIT_CONFIG
 

@@ -367,13 +367,20 @@ def load_csv(csv_path, manifest_path=None) -> TransitionDataset:
         lines.pop()
     if not lines:
         raise MalformedCsv(f"{csv_path} is empty")
-    expected = _header(d, k)
+    # the column count is checked first: the header the manifest implies can
+    # be far larger than the file
+    width = 2 * d + k
     got = lines[0].split(",")
+    if len(got) != width:
+        raise MalformedCsv(
+            f"{csv_path} header has {len(got)} columns, the manifest's "
+            f"state_dim={d} action_dim={k} needs {width}"
+        )
+    expected = _header(d, k)
     if got != expected:
         raise MalformedCsv(
             f"{csv_path} header {lines[0]!r} does not match expected {','.join(expected)!r}"
         )
-    width = len(expected)
     rows = np.empty((len(lines) - 1, width))
     for i, line in enumerate(lines[1:], start=1):
         cells = line.split(",")

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import DimensionMismatch, NonFinite, ShapeMismatch, SizeMismatch, TooLarge
+from .errors import DimensionMismatch, PairingMismatch, TooLarge
+from .linalg import sample_pair
 
 __all__ = [
     "TransportPlan",
@@ -45,35 +46,18 @@ class TransportPlan:
     def __post_init__(self):
         perm = np.array(self.permutation, dtype=np.intp)
         if perm.ndim != 1:
-            raise ShapeMismatch(f"permutation must be 1-D, got shape {perm.shape}")
+            raise DimensionMismatch(f"permutation must be 1-D, got shape {perm.shape}")
         if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise ValueError(f"matching is not a permutation of range({perm.size})")
         perm.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
 
 
-def _sample_matrix(a, name: str) -> np.ndarray:
-    x = np.asarray(a, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    if x.ndim != 2:
-        raise SizeMismatch(f"{name} must be an (n, d) matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFinite(f"{name} contains NaN or infinite entries")
-    return x
-
-
-def _sample_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Both sample sets as (n, d) float matrices, checked to be non-empty and
-    of equal count and width."""
-    xs = _sample_matrix(x, "x")
-    ys = _sample_matrix(y, "y")
-    if xs.shape[0] != ys.shape[0]:
-        raise SizeMismatch(f"sample counts differ: {xs.shape[0]} vs {ys.shape[0]}")
-    if xs.shape[1] != ys.shape[1]:
-        raise DimensionMismatch(f"sample widths differ: {xs.shape[1]} vs {ys.shape[1]}")
+def _transport_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_pair``, and the sets must not be empty."""
+    xs, ys = sample_pair(x, y)
     if xs.shape[0] == 0:
-        raise SizeMismatch("cannot transport between empty sample sets")
+        raise PairingMismatch("cannot transport between empty sample sets")
     return xs, ys
 
 
@@ -85,10 +69,11 @@ def empirical_w2(x: np.ndarray, y: np.ndarray):
     plan holds the optimal matching as a permutation. Deterministic for fixed
     inputs.
 
-    Raises SizeMismatch if the sets differ in count, DimensionMismatch if
-    they differ in width, and TooLarge above 4096 points per side.
+    Raises PairingMismatch if the sets differ in count or are empty,
+    DimensionMismatch if they differ in width, and TooLarge above 4096 points
+    per side.
     """
-    xs, ys = _sample_pair(x, y)
+    xs, ys = _transport_pair(x, y)
     n = xs.shape[0]
     if n > MAX_EXACT:
         raise TooLarge(f"exact assignment is capped at {MAX_EXACT} points, got {n}")
@@ -105,7 +90,7 @@ def brute_force_w2(x: np.ndarray, y: np.ndarray) -> float:
     Kept deliberately independent of the assignment path: the cost of each
     permutation is accumulated with direct arithmetic.
     """
-    xs, ys = _sample_pair(x, y)
+    xs, ys = _transport_pair(x, y)
     n = xs.shape[0]
     if n > MAX_BRUTE:
         raise TooLarge(f"enumeration is capped at {MAX_BRUTE} points, got {n}")
@@ -126,9 +111,6 @@ def pointwise_error(predicted: np.ndarray, actual: np.ndarray):
     Returns ``(mean, std, per_sample)`` with the population standard
     deviation (ddof = 0).
     """
-    p = _sample_matrix(predicted, "predicted")
-    a = _sample_matrix(actual, "actual")
-    if p.shape != a.shape:
-        raise SizeMismatch(f"shapes differ: {p.shape} vs {a.shape}")
+    p, a = sample_pair(predicted, actual, ("predicted", "actual"))
     per = np.linalg.norm(p - a, axis=1)
     return float(per.mean()), float(per.std()), per

@@ -38,20 +38,12 @@ class DegenerateInput(AffineTransportError):
     """An input is degenerate in a way that makes the requested quantity undefined."""
 
 
-class SizeMismatch(AffineTransportError):
-    """Two sample sets that must have equal row counts or shapes do not."""
-
-
 class TooLarge(AffineTransportError):
     """A problem instance exceeds the size cap of an exact solver."""
 
 
-class ShapeMismatch(AffineTransportError):
-    """Two matrices that must have identical shapes do not."""
-
-
 class PairingMismatch(AffineTransportError):
-    """Paired datasets have different row counts, so rows cannot be matched."""
+    """Two sample sets that must have equal row counts do not."""
 
 
 class MalformedModel(AffineTransportError):
@@ -72,7 +64,3 @@ class BadSpec(AffineTransportError):
 
 class BadFraction(AffineTransportError):
     """Split fractions are negative or do not sum to one."""
-
-
-class DegenerateTarget(AffineTransportError):
-    """The target sample set has zero total variance, so the score is undefined."""

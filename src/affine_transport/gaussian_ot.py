@@ -9,11 +9,12 @@ and the optimal map is affine, x -> A x + b, with
     A = S2^1/2 (S2^1/2 S1 S2^1/2)^-1/2 S2^1/2,    b = mu2 - A mu1.
 
 The affine transport map between two arbitrary sample sets is this optimal
-map between their normal (moment) approximations. Two bounds relate the
-Gaussian picture back to the raw distributions: a gap bound for the distance
-between normal approximations versus the true distance, and a worst-case
-bound sqrt(2 tr S) for the distance between any distribution and anything
-sharing its normal approximation's covariance budget.
+map between their normal (moment) approximations, as ``estimate_moments``
+gives them. Two bounds relate the Gaussian picture back to the raw
+distributions: a gap bound for the distance between normal approximations
+versus the true distance, and a worst-case bound sqrt(2 tr S) for the distance
+between any distribution and anything sharing its normal approximation's
+covariance budget.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
-from .linalg import _readonly, _root, check_symmetric, estimate_moments, spd_sqrt
+from .errors import DegenerateInput, DimensionMismatch, TooFewSamples
+from .linalg import _readonly, _root, check_symmetric, sample_matrix, spd_sqrt
 
 __all__ = [
     "GaussianModel",
+    "estimate_moments",
     "AffineMap",
     "gaussian_w2",
     "gaussian_ot_map",
@@ -57,6 +59,44 @@ class GaussianModel:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+# ridge added to every estimated covariance: max(floor, scale * tr / d)
+RIDGE_FLOOR = 1e-10
+RIDGE_SCALE = 1e-9
+
+
+def estimate_moments(samples: np.ndarray) -> GaussianModel:
+    """Normal approximation of a sample set: its mean and a ridged covariance.
+
+    The covariance uses the 1/n divisor (moment plug-in, matching the
+    normal approximation) plus ``max(1e-10, 1e-9 * tr / d)`` on the diagonal
+    so downstream inverse roots exist even when some coordinate is constant.
+
+    Parameters
+    ----------
+    samples : (n, d) array
+        Rows are observations; a 1-D array is treated as n scalar samples.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the input is neither 1-D nor 2-D.
+    NonFinite
+        If any entry is NaN or infinite.
+    TooFewSamples
+        If fewer than two rows are given.
+    """
+    x = sample_matrix(samples, "samples")
+    n, d = x.shape
+    if n < 2:
+        raise TooFewSamples(f"need at least 2 samples to estimate moments, got {n}")
+    mean = x.mean(axis=0)
+    dev = x - mean
+    cov = dev.T @ dev / n
+    cov = (cov + cov.T) / 2.0
+    ridge = max(RIDGE_FLOOR, RIDGE_SCALE * float(np.trace(cov)) / d)
+    return GaussianModel(mean, cov + ridge * np.eye(d))
 
 
 @dataclass(frozen=True)
@@ -151,25 +191,10 @@ def gaussian_ot_map(p: GaussianModel, q: GaussianModel) -> AffineMap:
 def at_map(source: np.ndarray, target: np.ndarray) -> AffineMap:
     """Affine transport map between two sample sets.
 
-    Estimates moments of each set (with ridge) and returns the Gaussian
-    optimal map between the resulting normal approximations. The sets do not
-    need equal sample counts, only equal dimension.
+    The Gaussian optimal map between the sets' normal approximations. The
+    sets do not need equal sample counts, only equal dimension.
     """
-    xs = np.asarray(source, dtype=np.float64)
-    xt = np.asarray(target, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
-    if xt.ndim == 1:
-        xt = xt.reshape(-1, 1)
-    if xs.shape[1] != xt.shape[1]:
-        raise DimensionMismatch(
-            f"source has dimension {xs.shape[1]}, target has {xt.shape[1]}"
-        )
-    ms = estimate_moments(xs)
-    mt = estimate_moments(xt)
-    return gaussian_ot_map(
-        GaussianModel(ms.mean, ms.covariance), GaussianModel(mt.mean, mt.covariance)
-    )
+    return gaussian_ot_map(estimate_moments(source), estimate_moments(target))
 
 
 def gelbrich_gap_bound(p: GaussianModel, q: GaussianModel) -> float:

@@ -1,32 +1,30 @@
-"""Symmetric matrix roots and moment estimation.
+"""Symmetric matrix roots and the sample-matrix gate.
 
 All routines work on plain float64 numpy arrays. Symmetric inputs are checked
-against a relative tolerance, positive semi-definiteness is enforced by
-clamping small eigenvalues, and every estimated covariance carries a small
-diagonal ridge so that inverse roots exist even for rank-deficient samples
-(constant coordinates, disabled joints).
+against a relative tolerance and positive semi-definiteness is enforced by
+clamping small eigenvalues. Every function that takes sample sets turns them
+into (n, d) matrices through ``sample_matrix`` or ``sample_pair``, so a given
+bad input raises the same error whichever entry point it reaches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     IndefiniteMatrix,
     NonFinite,
     NotSymmetric,
+    PairingMismatch,
     SingularMatrix,
-    TooFewSamples,
 )
 
 __all__ = [
-    "MomentEstimate",
-    "estimate_moments",
+    "sample_matrix",
+    "sample_pair",
     "spd_sqrt",
     "spd_inv_sqrt",
-    "svd",
 ]
 
 # relative tolerances for symmetry, indefiniteness, and rank checks
@@ -34,10 +32,6 @@ SYMMETRY_TOL = 1e-10
 INDEFINITE_TOL = 1e-6
 CLAMP_TOL = 1e-12
 SINGULAR_RATIO = 1e-12
-
-# ridge added to every estimated covariance: max(floor, scale * tr / d)
-RIDGE_FLOOR = 1e-10
-RIDGE_SCALE = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -51,6 +45,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _require_finite(a: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(a)):
         raise NonFinite(f"{name} contains NaN or infinite entries")
+
+
+def sample_matrix(a, name: str) -> np.ndarray:
+    """``a`` as a float64 (n, d) sample matrix with rows as observations.
+
+    A 1-D array is read as n scalar samples (one column). Raises
+    DimensionMismatch for any other shape that is not 2-D and NonFinite for a
+    NaN or infinite entry.
+    """
+    x = np.asarray(a, dtype=np.float64)
+    if x.ndim == 1:
+        x = x.reshape(-1, 1)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"{name} must be an (n, d) matrix, got shape {x.shape}")
+    _require_finite(x, name)
+    return x
+
+
+def sample_pair(x, y, names: tuple[str, str] = ("x", "y")) -> tuple[np.ndarray, np.ndarray]:
+    """Both sets through ``sample_matrix``, then checked to be of equal count
+    (PairingMismatch) and equal width (DimensionMismatch)."""
+    xs = sample_matrix(x, names[0])
+    ys = sample_matrix(y, names[1])
+    if xs.shape[0] != ys.shape[0]:
+        raise PairingMismatch(f"sample counts differ: {xs.shape[0]} vs {ys.shape[0]}")
+    if xs.shape[1] != ys.shape[1]:
+        raise DimensionMismatch(f"sample widths differ: {xs.shape[1]} vs {ys.shape[1]}")
+    return xs, ys
 
 
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
@@ -139,70 +161,3 @@ def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:
         If ``lambda_min / lambda_max`` falls below ``1e-12``.
     """
     return _root(m, "spd_inv_sqrt input", inverse=True, require_invertible=True)
-
-
-def svd(m: np.ndarray):
-    """Thin singular value decomposition ``m = U @ diag(s) @ V.T``.
-
-    Returns ``(U, s, V)`` with orthonormal columns in U and V and singular
-    values in descending order. Note the third factor is V itself, not its
-    transpose.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    _require_finite(m, "svd input")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh.T
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Sample mean and ridge-regularized covariance of a sample set."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    sample_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _readonly(self.mean))
-        object.__setattr__(self, "covariance", _readonly(self.covariance))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-def estimate_moments(samples: np.ndarray) -> MomentEstimate:
-    """Estimate mean and covariance, with a stabilizing diagonal ridge.
-
-    The covariance uses the 1/n divisor (moment plug-in, matching the
-    normal approximation) plus ``max(1e-10, 1e-9 * tr / d)`` on the diagonal
-    so downstream inverse roots exist even when some coordinate is constant.
-
-    Parameters
-    ----------
-    samples : (n, d) array
-        Rows are observations; a 1-D array is treated as n scalar samples.
-
-    Raises
-    ------
-    TooFewSamples
-        If fewer than two rows are given.
-    NonFinite
-        If any entry is NaN or infinite.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    if x.ndim != 2:
-        raise TooFewSamples(f"expected an (n, d) sample matrix, got shape {x.shape}")
-    n, d = x.shape
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 samples to estimate moments, got {n}")
-    _require_finite(x, "samples")
-    mean = x.mean(axis=0)
-    dev = x - mean
-    cov = dev.T @ dev / n
-    cov = (cov + cov.T) / 2.0
-    ridge = max(RIDGE_FLOOR, RIDGE_SCALE * float(np.trace(cov)) / d)
-    cov = cov + ridge * np.eye(d)
-    return MomentEstimate(mean, cov, n)

@@ -23,16 +23,9 @@ import numpy as np
 
 from .data import TransitionDataset, check_paired, dataset_fingerprint
 from .discrete_ot import empirical_w2, pointwise_error
-from .errors import (
-    DegenerateTarget,
-    DimensionMismatch,
-    MalformedModel,
-    ShapeMismatch,
-    SizeMismatch,
-    TooFewSamples,
-)
-from .gaussian_ot import AffineMap, at_map, normal_approx_bound
-from .linalg import _readonly, estimate_moments, svd
+from .errors import DegenerateInput, DimensionMismatch, MalformedModel, TooFewSamples
+from .gaussian_ot import AffineMap, at_map, estimate_moments, normal_approx_bound
+from .linalg import _readonly, _require_finite, sample_pair
 
 __all__ = [
     "FitMeta",
@@ -65,11 +58,15 @@ def procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     a = np.asarray(source, dtype=np.float64)
     b = np.asarray(target, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeMismatch(f"paired matrices must share a shape, got {a.shape} and {b.shape}")
+        raise DimensionMismatch(
+            f"paired matrices must share a shape, got {a.shape} and {b.shape}"
+        )
     if a.ndim != 2:
-        raise ShapeMismatch(f"expected (d, n) matrices, got shape {a.shape}")
-    u, _, v = svd(b @ a.T)
-    return u @ v.T
+        raise DimensionMismatch(f"expected (d, n) matrices, got shape {a.shape}")
+    m = b @ a.T
+    _require_finite(m, "svd input")
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
+    return u @ vh
 
 
 @dataclass(frozen=True)
@@ -179,17 +176,10 @@ def affinity_score(transported: np.ndarray, target: np.ndarray) -> float:
     worst-case budget sqrt(2 tr Sigma(target)); clamped to [0, 1]. Close to
     one means the domains are nearly affinely related.
     """
-    t = np.asarray(transported, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    if t.ndim == 1:
-        t = t.reshape(-1, 1)
-    if y.ndim == 1:
-        y = y.reshape(-1, 1)
-    if t.shape != y.shape:
-        raise SizeMismatch(f"shapes differ: {t.shape} vs {y.shape}")
+    t, y = sample_pair(transported, target, ("transported", "target"))
     centered = y - y.mean(axis=0)
     if not np.any(centered):
-        raise DegenerateTarget("target samples are all identical; the score is undefined")
+        raise DegenerateInput("target samples are all identical; the score is undefined")
     w2, _ = empirical_w2(t, y)
     return _rho_and_bound(w2, y)[0]
 

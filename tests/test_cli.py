@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from affine_transport import load_csv, load_model, split
+from affine_transport import TransitionDataset, load_csv, load_model, save_dataset, split
 from affine_transport.cli import main
 
 
@@ -112,6 +112,29 @@ def test_synth_undecodable_spec_is_io_error(tmp_path):
     assert run("synth", "--spec", spec, "--out", tmp_path) == 2
 
 
+# every shape here has more float64 bytes than intp can count, so numpy refuses
+# it before allocating anything
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (["--kind", "puck", "--n", 10**20], {"kind": "puck", "n": 10**20}),
+        (["--kind", "linear", "--state-dim", 10**10, "--n", 5],
+         {"kind": "linear", "state_dim": 10**10, "n": 5}),
+        (["--kind", "linear", "--state-dim", 10, "--action-dim", 10**18, "--n", 1],
+         {"kind": "linear", "state_dim": 10, "action_dim": 10**18, "n": 1}),
+    ],
+    ids=["puck-rows", "linear-dynamics", "linear-controls"],
+)
+def test_synth_unindexable_sizes_are_config_errors(tmp_path, capsys, flags, doc):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps(doc))
+    assert run("synth", *flags, "--out", tmp_path) == 5
+    assert capsys.readouterr().err.startswith("error[BadSpec]: ")
+    assert run("synth", "--spec", spec, "--out", tmp_path) == 5
+    assert capsys.readouterr().err.startswith("error[BadSpec]: ")
+    assert not (tmp_path / "source.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flags, doc",
     [
@@ -194,6 +217,41 @@ def test_fit_bad_manifest_seed_is_io_error(tmp_path, capsys):
                "--out", tmp_path / "model.json")
     assert code == 2
     assert capsys.readouterr().err.startswith("error[MalformedCsv]: ")
+
+
+def test_oversized_manifest_dims_give_a_short_error(tmp_path, capsys):
+    out = tmp_path / "pair"
+    out.mkdir()
+    assert run("synth", "--kind", "puck", "--n", 20, "--out", out) == 0
+    (out / "source.manifest.json").write_text('{"state_dim": 300000, "action_dim": 2}')
+    capsys.readouterr()
+    assert run("score", "--source", out / "source.csv", "--target", out / "target.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[MalformedCsv]: ")
+    assert len(err.encode("utf-8")) < 1024
+
+
+def _constant_target_pair(tmp_path):
+    rng = np.random.default_rng(4)
+    source = tmp_path / "source.csv"
+    target = tmp_path / "target.csv"
+    save_dataset(TransitionDataset(1, 1, rng.standard_normal((10, 3))), source)
+    save_dataset(TransitionDataset(1, 1, np.ones((10, 3))), target)
+    return source, target
+
+
+def test_failing_fit_writes_no_model(tmp_path, capsys):
+    source, target = _constant_target_pair(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert run("fit", "--source", source, "--target", target, "--out", model_path) == 5
+    assert capsys.readouterr().err.startswith("error[DegenerateInput]: ")
+    assert not model_path.exists()
+
+
+def test_score_constant_target_is_degenerate_input(tmp_path, capsys):
+    source, target = _constant_target_pair(tmp_path)
+    assert run("score", "--source", source, "--target", target) == 5
+    assert capsys.readouterr().err.startswith("error[DegenerateInput]: ")
 
 
 def test_eval_writes_json_report(tmp_path):

@@ -9,8 +9,7 @@ from affine_transport import (
     DimensionMismatch,
     MAX_BRUTE,
     MAX_EXACT,
-    ShapeMismatch,
-    SizeMismatch,
+    PairingMismatch,
     TooLarge,
     TransportPlan,
     brute_force_w2,
@@ -43,7 +42,7 @@ def test_shifted_triangle():
 
 
 def test_count_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PairingMismatch):
         empirical_w2(np.zeros((3, 1)), np.zeros((4, 1)))
 
 
@@ -106,7 +105,7 @@ def test_plan_cost_consistent_with_coupling():
 
 
 def test_plan_rejects_bad_shapes():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         TransportPlan(np.eye(2, dtype=int), 0.0)
 
 
@@ -168,5 +167,5 @@ def test_pointwise_single_row():
 
 
 def test_pointwise_shape_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PairingMismatch):
         pointwise_error(np.zeros((3, 2)), np.zeros((4, 2)))

@@ -1,4 +1,5 @@
-"""Tests for the dense linear algebra primitives and moment estimation."""
+"""Tests for the dense linear algebra primitives, moment estimation, and the
+one sample-matrix gate every sample-set entry point goes through."""
 
 import numpy as np
 import pytest
@@ -6,15 +7,21 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from affine_transport import (
+    DimensionMismatch,
     IndefiniteMatrix,
     NonFinite,
     NotSymmetric,
     SingularMatrix,
     TooFewSamples,
+    affinity_score,
+    at_map,
+    brute_force_w2,
+    empirical_w2,
     estimate_moments,
+    pointwise_error,
+    procrustes,
     spd_inv_sqrt,
     spd_sqrt,
-    svd,
 )
 from helpers import random_spd
 
@@ -86,47 +93,12 @@ def test_inv_sqrt_whitens(seed, d):
     assert np.linalg.norm(s @ m @ s - np.eye(d)) <= 1e-6 * d
 
 
-def test_svd_identity():
-    u, s, v = svd(np.eye(2))
-    np.testing.assert_allclose(s, [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(u @ np.diag(s) @ v.T, np.eye(2), atol=1e-12)
-
-
-def test_svd_signed_diagonal():
-    _, s, _ = svd(np.diag([3.0, -2.0]))
-    np.testing.assert_allclose(s, [3.0, 2.0], atol=1e-12)
-
-
-def test_svd_rank_one():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(4)
-    b = rng.standard_normal(3)
-    _, s, _ = svd(np.outer(a, b))
-    np.testing.assert_allclose(s[0], np.linalg.norm(a) * np.linalg.norm(b), rtol=1e-12)
-    np.testing.assert_allclose(s[1:], 0.0, atol=1e-12)
-
-
-def test_svd_rejects_non_finite():
-    with pytest.raises(NonFinite):
-        svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-@settings(max_examples=20, deadline=None)
-@given(seeds, st.integers(1, 64), st.integers(1, 64))
-def test_svd_round_trip(seed, rows, cols):
-    m = np.random.default_rng(seed).standard_normal((rows, cols))
-    u, s, v = svd(m)
-    assert np.linalg.norm(u @ np.diag(s) @ v.T - m) <= 1e-8 * (1.0 + np.linalg.norm(m))
-    assert np.all(np.diff(s) <= 0.0)
-
-
 def test_moments_two_points():
     est = estimate_moments(np.array([[0.0, 0.0], [2.0, 0.0]]))
     np.testing.assert_allclose(est.mean, [1.0, 0.0], atol=1e-15)
     # 1/n divisor: covariance diag(1, 0) before the ridge
     np.testing.assert_allclose(est.covariance, np.diag([1.0, 0.0]), atol=1e-8)
     assert est.covariance[1, 1] > 0.0
-    assert est.sample_count == 2
 
 
 def test_moments_repeated_point():
@@ -167,3 +139,50 @@ def test_moments_rejects_single_sample():
 def test_moments_rejects_non_finite():
     with pytest.raises(NonFinite):
         estimate_moments(np.array([[0.0], [np.inf]]))
+
+
+# every entry point that takes sample sets, called on a pair of them
+GATED = {
+    "estimate_moments": lambda x, y: (estimate_moments(x), estimate_moments(y)),
+    "at_map": at_map,
+    "empirical_w2": empirical_w2,
+    "brute_force_w2": brute_force_w2,
+    "pointwise_error": pointwise_error,
+    "affinity_score": affinity_score,
+}
+
+
+def _good(width=2):
+    return np.random.default_rng(3).standard_normal((4, width))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_gate_rejects_three_dimensional_input(name, side):
+    args = [_good(), _good()]
+    args[side] = np.zeros((4, 2, 1))
+    with pytest.raises(DimensionMismatch):
+        GATED[name](*args)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_gate_rejects_nan_entry(name, side):
+    args = [_good(), _good()]
+    args[side][1, 0] = np.nan
+    with pytest.raises(NonFinite):
+        GATED[name](*args)
+
+
+@pytest.mark.parametrize("name", sorted(set(GATED) - {"estimate_moments"}))
+def test_gate_rejects_width_mismatch(name):
+    with pytest.raises(DimensionMismatch):
+        GATED[name](_good(2), _good(3))
+
+
+def test_procrustes_rejects_non_finite():
+    a = _good().T
+    b = a.copy()
+    b[0, 1] = np.nan
+    with pytest.raises(NonFinite):
+        procrustes(a, b)

@@ -7,13 +7,11 @@ import pytest
 
 from affine_transport import (
     AffineMap,
-    DegenerateTarget,
+    DegenerateInput,
     DimensionMismatch,
     FitMeta,
     MalformedModel,
     PairingMismatch,
-    ShapeMismatch,
-    SizeMismatch,
     TooFewSamples,
     TransferModel,
     TransitionDataset,
@@ -67,9 +65,9 @@ def test_procrustes_recovers_reflection():
 
 
 def test_procrustes_rejects_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         procrustes(np.zeros((2, 5)), np.zeros((2, 6)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         procrustes(np.zeros(5), np.zeros(5))
 
 
@@ -187,9 +185,9 @@ def test_affinity_high_for_affine_pair():
 
 
 def test_affinity_rejects_constant_target():
-    with pytest.raises(DegenerateTarget):
+    with pytest.raises(DegenerateInput):
         affinity_score(np.zeros((10, 2)), np.ones((10, 2)))
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PairingMismatch):
         affinity_score(np.zeros((10, 2)), np.zeros((9, 2)))
 
 
