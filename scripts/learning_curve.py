@@ -8,12 +8,14 @@ fall roughly as 1/sqrt(n) until the observation noise floor takes over.
 """
 
 import argparse
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 
 from affine_transport import DomainSpec, gen_linear, rng_stream, split
-from affine_transport.cli import learning_curve
+from affine_transport.cli import LearningCurvePoint, learning_curve
+from affine_transport.data import _write_csv
 
 SIZES = [8, 16, 32, 64, 128, 256, 512]
 
@@ -47,14 +49,14 @@ def main():
     pool_t, hold_t = split(tgt, fractions, args.seed)
     sizes = [s for s in SIZES if s <= pool_s.n]
 
-    lines = ["n_fit,mean_error,std_error,repeats"]
     print(f"{'n_fit':>6} {'mean_error':>12} {'std_error':>12}")
-    for p in learning_curve(pool_s, pool_t, hold_s, hold_t, sizes, args.repeats, args.seed):
-        lines.append(f"{p.n_fit},{p.mean_error!r},{p.std_error!r},{p.repeats}")
+    points = learning_curve(pool_s, pool_t, hold_s, hold_t, sizes, args.repeats, args.seed)
+    for p in points:
         print(f"{p.n_fit:>6} {p.mean_error:>12.5f} {p.std_error:>12.5f}")
 
     out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    header = [f.name for f in dataclasses.fields(LearningCurvePoint)]
+    _write_csv(out, header, map(dataclasses.astuple, points))
     print(f"wrote {out}")
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -24,6 +23,10 @@ import numpy as np
 from .data import (
     DomainSpec,
     TransitionDataset,
+    _json_int,
+    _read_json,
+    _write_csv,
+    _write_json,
     check_paired,
     gen_linear,
     gen_puck,
@@ -41,7 +44,6 @@ from .errors import (
     MalformedModel,
     MissingManifest,
     PairingMismatch,
-    TooFewSamples,
 )
 from .gaussian_ot import at_map
 from .discrete_ot import MAX_EXACT
@@ -243,17 +245,6 @@ _PAIR_SPEC_KEYS = {
 }
 
 
-def _read_spec(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadSpec(f"spec file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise BadSpec(f"spec file {path} must hold a JSON object")
-    return doc
-
-
 def _doc_from_flags(args) -> dict:
     """The pair spec document that synth's flags describe, as a --spec file holds it."""
     if args.kind is None:
@@ -288,10 +279,7 @@ def _doc_from_flags(args) -> dict:
 
 def _spec_int(doc: dict, key: str, default=None) -> int:
     value = doc.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise BadSpec(f"spec field {key!r} must be an integer, got {value!r}")
+    return _json_int(value, BadSpec, f"spec field {key!r} must be an integer, got {value!r}")
 
 
 def _pair_from_doc(doc: dict, seed: int):
@@ -341,7 +329,7 @@ def cmd_synth(args) -> int:
     if not out.is_dir():
         raise OSError(f"output directory does not exist: {out}")
     if args.spec is not None:
-        doc = _read_spec(args.spec)
+        doc = _read_json(args.spec, BadSpec, "spec file")
         if args.n is not None:
             doc["n"] = args.n
     else:
@@ -384,28 +372,11 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_rows(path, fieldnames, rows, fmt) -> None:
-    path = Path(path)
     if fmt == "csv":
-        lines = [",".join(fieldnames)]
-        for row in rows:
-            lines.append(",".join(_format_cell(row[name]) for name in fieldnames))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        _write_csv(path, fieldnames, ([row[name] for name in fieldnames] for row in rows))
     else:
-        payload = rows[0] if len(rows) == 1 else rows
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
+        _write_json(path, rows[0] if len(rows) == 1 else rows)
 
 
 def _report_row(report) -> dict:
@@ -460,8 +431,6 @@ def learning_curve(
             raise BadSpec(
                 f"fit size {size} exceeds the {pool_s.n} rows available after holdout"
             )
-    if hold_s.n < 2:
-        raise TooFewSamples(f"need at least 2 held-out rows to evaluate, got {hold_s.n}")
     points = []
     for size in sizes:
         errors = np.empty(repeats)

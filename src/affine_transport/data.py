@@ -1,4 +1,4 @@
-"""Transition datasets: synthetic generators, CSV I/O, and splits.
+"""Transition datasets: synthetic generators, splits, and every on-disk format.
 
 A dataset holds n transition triplets (state, action, next state) as rows of
 width 2 d + k. Two generator families are provided: randomized linear
@@ -135,7 +135,7 @@ def check_paired(source: TransitionDataset, target: TransitionDataset) -> None:
 
 
 def _real(value, name: str) -> float:
-    if isinstance(value, numbers.Real):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
@@ -186,10 +186,12 @@ class DomainSpec:
                 object.__setattr__(self, field, _readonly(value))
         for field in ("inverted", "disabled"):
             value = getattr(self, field)
+            message = f"{field} must be a list of indices, got {value!r}"
             try:
-                object.__setattr__(self, field, tuple(int(i) for i in value))
-            except (TypeError, ValueError, OverflowError):
-                raise BadSpec(f"{field} must be a list of indices, got {value!r}")
+                indices = tuple(value)
+            except TypeError:
+                raise BadSpec(message)
+            object.__setattr__(self, field, tuple(_json_int(i, BadSpec, message) for i in indices))
 
     @classmethod
     def from_dict(cls, doc: dict, kind: str | None = None) -> "DomainSpec":
@@ -200,8 +202,8 @@ class DomainSpec:
         if "friction" in doc:
             fr = doc.pop("friction")
             try:
-                doc["friction_x"], doc["friction_y"] = (float(fr[0]), float(fr[1]))
-            except (TypeError, ValueError, IndexError, KeyError, OverflowError):
+                doc["friction_x"], doc["friction_y"] = fr
+            except (TypeError, ValueError):
                 raise BadSpec(f"friction must be a pair of numbers, got {fr!r}")
         if kind is not None:
             doc.setdefault("kind", kind)
@@ -295,6 +297,53 @@ def gen_puck(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionData
     return TransitionDataset(2, 2, rows, spec.label, seed)
 
 
+def _json_int(value, error_type, message: str) -> int:
+    """``int(value)`` for an integer field of a JSON document, except that a
+    boolean or a fractional or non-finite float raises ``error_type(message)``
+    instead of being truncated, as does anything ``int()`` rejects."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise error_type(message)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error_type(message)
+
+
+def _read_json(path, error_type, what: str) -> dict:
+    """The JSON object in a UTF-8 file; ``error_type`` unless it is valid JSON
+    holding an object. ``what`` names the document in the message."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    # ValueError also covers an integer past Python's digit limit, and
+    # RecursionError a document nested too deep to decode
+    except (ValueError, RecursionError) as exc:
+        raise error_type(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise error_type(f"{what} {path} must hold a JSON object")
+    return doc
+
+
+def _write_json(path, doc) -> None:
+    """Write a JSON document: indent 2, sorted keys, floats as ``repr``, UTF-8, trailing LF."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row of cells, joined by commas:
+    floats as ``repr``, booleans as ``true``/``false``, UTF-8, LF endings."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
 def manifest_path_for(csv_path) -> Path:
     """Manifest file that accompanies a dataset CSV: same stem, .manifest.json."""
     return Path(csv_path).with_suffix(".manifest.json")
@@ -303,15 +352,10 @@ def manifest_path_for(csv_path) -> Path:
 def save_dataset(ds: TransitionDataset, csv_path) -> Path:
     """Write a dataset CSV plus its manifest; returns the manifest path.
 
-    Floats are written with shortest exact decimal form, LF line endings, no
-    quoting, so rewriting the same dataset is byte identical.
+    Rewriting the same dataset is byte identical.
     """
-    csv_path = Path(csv_path)
-    header = _header(ds.state_dim, ds.action_dim)
-    lines = [",".join(header)]
-    for row in ds.rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    # tolist() per row: on the whole array it holds every cell as a Python float
+    _write_csv(csv_path, _header(ds.state_dim, ds.action_dim), (row.tolist() for row in ds.rows))
     manifest = {
         "state_dim": ds.state_dim,
         "action_dim": ds.action_dim,
@@ -319,9 +363,7 @@ def save_dataset(ds: TransitionDataset, csv_path) -> Path:
         "seed": ds.seed,
     }
     mp = manifest_path_for(csv_path)
-    mp.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_json(mp, manifest)
     return mp
 
 
@@ -333,33 +375,24 @@ def _header(d: int, k: int) -> list[str]:
     )
 
 
-def load_csv(csv_path, manifest_path=None) -> TransitionDataset:
-    """Load a dataset CSV and its manifest.
+def load_csv(csv_path) -> TransitionDataset:
+    """Load a dataset CSV and its manifest, ``<stem>.manifest.json`` next to it.
 
-    The manifest defaults to ``<stem>.manifest.json`` next to the CSV and
-    must exist. Cell errors are reported with their 1-based data row index;
-    NaN and infinite cells are rejected.
+    The manifest must exist. Cell errors are reported with their 1-based data
+    row index; NaN and infinite cells are rejected.
     """
     csv_path = Path(csv_path)
-    mp = Path(manifest_path) if manifest_path is not None else manifest_path_for(csv_path)
+    mp = manifest_path_for(csv_path)
     if not mp.exists():
         raise MissingManifest(f"no manifest found for {csv_path}: expected {mp}")
-    try:
-        manifest = json.loads(mp.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedCsv(f"manifest {mp} is not valid JSON: {exc}")
-    try:
-        d = int(manifest["state_dim"])
-        k = int(manifest["action_dim"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise MalformedCsv(f"manifest {mp} must carry integer state_dim and action_dim")
+    manifest = _read_json(mp, MalformedCsv, "manifest")
+    dims = f"manifest {mp} must carry integer state_dim and action_dim"
+    d = _json_int(manifest.get("state_dim"), MalformedCsv, dims)
+    k = _json_int(manifest.get("action_dim"), MalformedCsv, dims)
     label = str(manifest.get("domain_label", "domain"))
     seed = manifest.get("seed")
     if seed is not None:
-        try:
-            seed = int(seed)
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedCsv(f"manifest {mp} seed must be an integer, got {seed!r}")
+        seed = _json_int(seed, MalformedCsv, f"manifest {mp} seed must be an integer, got {seed!r}")
 
     text = csv_path.read_text(encoding="utf-8")
     lines = text.split("\n")

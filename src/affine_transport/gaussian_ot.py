@@ -120,10 +120,6 @@ class AffineMap:
     def dim_in(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def dim_out(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a single vector (d,) or a stack of row vectors (n, d)."""
         x = np.asarray(x, dtype=np.float64)

@@ -14,14 +14,19 @@ re-enter through the transport offset b.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .data import TransitionDataset, check_paired, dataset_fingerprint
+from .data import (
+    TransitionDataset,
+    _json_int,
+    _read_json,
+    _write_json,
+    check_paired,
+    dataset_fingerprint,
+)
 from .discrete_ot import empirical_w2, pointwise_error
 from .errors import DegenerateInput, DimensionMismatch, MalformedModel, TooFewSamples
 from .gaussian_ot import AffineMap, at_map, estimate_moments, normal_approx_bound
@@ -228,6 +233,8 @@ def evaluate_pointwise(
             f"datasets have width {source.width}, model expects {model.dim}"
         )
     check_paired(source, target)
+    if source.n < 2:
+        raise TooFewSamples(f"need at least 2 paired rows to evaluate, got {source.n}")
     transported = apply(model, source.rows)
     sd = model.state_dim
     before = pointwise_error(source.next_states, target.next_states)
@@ -285,9 +292,7 @@ def save_model(model: TransferModel, path) -> None:
             "target_hash": model.meta.target_hash,
         },
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_json(path, doc)
 
 
 def _model_field(doc: dict, name: str):
@@ -298,24 +303,17 @@ def _model_field(doc: dict, name: str):
 
 def load_model(path) -> TransferModel:
     """Load a model saved by save_model, validating structure and invariants."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"model file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise MalformedModel(f"model file {path} must hold a JSON object")
+    doc = _read_json(path, MalformedModel, "model file")
     version = _model_field(doc, "version")
-    if version != MODEL_FORMAT_VERSION:
+    # True == 1 in Python, so the equality alone would accept a boolean
+    if isinstance(version, bool) or version != MODEL_FORMAT_VERSION:
         raise MalformedModel(
             f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
-    try:
-        dim = int(_model_field(doc, "dim"))
-        state_dim = int(_model_field(doc, "state_dim"))
-        action_dim = int(_model_field(doc, "action_dim"))
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedModel("model dimensions must be integers")
+    dim, state_dim, action_dim = (
+        _json_int(_model_field(doc, name), MalformedModel, "model dimensions must be integers")
+        for name in ("dim", "state_dim", "action_dim")
+    )
     if state_dim < 1 or action_dim < 1:
         raise MalformedModel(
             f"model dimensions must be positive, got state_dim={state_dim} action_dim={action_dim}"
@@ -339,15 +337,14 @@ def load_model(path) -> TransferModel:
     meta_doc = _model_field(doc, "meta")
     if not isinstance(meta_doc, dict):
         raise MalformedModel("field 'meta' must be an object")
-    try:
-        meta = FitMeta(
-            n_fit=int(meta_doc["n_fit"]),
-            seed=None if meta_doc.get("seed") is None else int(meta_doc["seed"]),
-            source_hash=str(meta_doc["source_hash"]),
-            target_hash=str(meta_doc["target_hash"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise MalformedModel("model meta must carry n_fit, seed, source_hash, target_hash")
+    seed = meta_doc.get("seed")
+    ints = "model meta n_fit and seed must be integers"
+    meta = FitMeta(
+        n_fit=_json_int(_model_field(meta_doc, "n_fit"), MalformedModel, ints),
+        seed=None if seed is None else _json_int(seed, MalformedModel, ints),
+        source_hash=str(_model_field(meta_doc, "source_hash")),
+        target_hash=str(_model_field(meta_doc, "target_hash")),
+    )
     rotation = arrays["R"].reshape(dim, dim)
     at = AffineMap(arrays["A"].reshape(dim, dim), arrays["b"])
     return TransferModel(rotation, at, state_dim, action_dim, meta)

@@ -484,3 +484,121 @@ def test_log_level_does_not_change_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv("AT_LOG_LEVEL", "debug")
     assert run("synth", "--kind", "puck", "--n", 20, "--out", chatty) == 0
     assert (quiet / "source.csv").read_bytes() == (chatty / "source.csv").read_bytes()
+
+
+def test_eval_on_empty_pair_is_too_few_samples(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    pair = synth_linear(tmp_path, "pair", n=20)
+    assert run("fit", "--source", pair / "source.csv", "--target", pair / "target.csv",
+               "--out", model_path) == 0
+    empty = [tmp_path / "source.csv", tmp_path / "target.csv"]
+    for path in empty:
+        save_dataset(TransitionDataset(3, 2, np.empty((0, 8))), path)
+    capsys.readouterr()
+    code = run("eval", "--model", model_path, "--source", empty[0], "--target", empty[1],
+               "--out", tmp_path / "r.json")
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[TooFewSamples]: ")
+    assert len(err.splitlines()) == 1
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+INT_SPEC = {
+    "kind": "linear", "n": 10, "state_dim": 2, "action_dim": 2,
+    "source": {"inverted": [1]}, "target": {"disabled": [1]},
+}
+INT_FIELDS = (
+    [("spec", path) for path in
+     [("n",), ("state_dim",), ("action_dim",), ("source", "inverted", 0),
+      ("target", "disabled", 0)]]
+    + [("manifest", path) for path in [("state_dim",), ("action_dim",), ("seed",)]]
+    + [("model", path) for path in
+       [("version",), ("dim",), ("state_dim",), ("action_dim",), ("meta", "n_fit"),
+        ("meta", "seed")]]
+)
+EXPECTED = {
+    "spec": (5, "BadSpec"), "manifest": (2, "MalformedCsv"), "model": (2, "MalformedModel"),
+}
+
+
+@pytest.fixture(scope="module")
+def int_work(tmp_path_factory):
+    """A linear pair (seed 3) and the model fitted on it."""
+    root = tmp_path_factory.mktemp("int-rule")
+    pair = root / "pair"
+    pair.mkdir()
+    assert run("synth", "--kind", "linear", "--n", 20, "--seed", 3, "--out", pair) == 0
+    assert run("fit", "--source", pair / "source.csv", "--target", pair / "target.csv",
+               "--out", root / "model.json") == 0
+    return root
+
+
+@pytest.mark.parametrize("kind", ["boolean", "fractional"])
+@pytest.mark.parametrize(
+    "document, path", INT_FIELDS, ids=[f"{d}:{'.'.join(map(str, p))}" for d, p in INT_FIELDS]
+)
+def test_integer_fields_reject_booleans_and_fractions(int_work, tmp_path, capsys,
+                                                      document, path, kind):
+    pair = int_work / "pair"
+    if document == "spec":
+        doc = json.loads(json.dumps(INT_SPEC))
+    elif document == "manifest":
+        doc = json.loads((pair / "source.manifest.json").read_text())
+    else:
+        doc = json.loads((int_work / "model.json").read_text())
+    _get(doc, path[:-1])[path[-1]] = True if kind == "boolean" else _get(doc, path) + 0.5
+    capsys.readouterr()
+    if document == "spec":
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        code = run("synth", "--spec", tmp_path / "spec.json", "--out", tmp_path)
+    elif document == "manifest":
+        (tmp_path / "source.csv").write_bytes((pair / "source.csv").read_bytes())
+        (tmp_path / "source.manifest.json").write_text(json.dumps(doc))
+        code = run("score", "--source", tmp_path / "source.csv",
+                   "--target", pair / "target.csv")
+    else:
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        code = run("eval", "--model", tmp_path / "model.json", "--source", pair / "source.csv",
+                   "--target", pair / "target.csv", "--out", tmp_path / "r.json")
+    err = capsys.readouterr().err.splitlines()
+    assert (code, len(err)) == (EXPECTED[document][0], 1)
+    assert err[0].startswith(f"error[{EXPECTED[document][1]}]: ")
+
+
+@pytest.mark.parametrize(
+    "side",
+    [{"noise_std": True}, {"curl": False}, {"friction": [True, 0.4]}, {"gravity": True}],
+)
+def test_number_fields_reject_booleans(tmp_path, capsys, side):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps({"kind": "puck", "n": 10, "target": side}))
+    assert run("synth", "--spec", spec, "--out", tmp_path) == 5
+    assert capsys.readouterr().err.startswith("error[BadSpec]: ")
+    assert not (tmp_path / "source.csv").exists()
+
+
+# a JSON integer past Python's default digit limit, and nesting too deep to
+# decode: both used to escape as a traceback from json.loads
+@pytest.mark.parametrize("text", ['{"n": ' + "1" * 5000 + "}", "[" * 100_000])
+def test_undecodable_json_documents(int_work, tmp_path, capsys, text):
+    pair = int_work / "pair"
+    (tmp_path / "doc.json").write_text(text)
+    (tmp_path / "source.csv").write_bytes((pair / "source.csv").read_bytes())
+    (tmp_path / "source.manifest.json").write_text(text)
+    for argv, code, name in [
+        (["synth", "--spec", tmp_path / "doc.json", "--out", tmp_path], 5, "BadSpec"),
+        (["score", "--source", tmp_path / "source.csv", "--target", pair / "target.csv"],
+         2, "MalformedCsv"),
+        (["eval", "--model", tmp_path / "doc.json", "--source", pair / "source.csv",
+          "--target", pair / "target.csv", "--out", tmp_path / "r.json"], 2, "MalformedModel"),
+    ]:
+        capsys.readouterr()
+        assert run(*argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error[{name}]: ")
