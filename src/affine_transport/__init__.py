@@ -25,7 +25,7 @@ from .errors import (
     TooFewSamples,
     TooLarge,
 )
-from .linalg import spd_inv_sqrt, spd_sqrt
+from .linalg import spd_sqrt
 from .gaussian_ot import (
     AffineMap,
     GaussianModel,
@@ -37,10 +37,8 @@ from .gaussian_ot import (
     normal_approx_bound,
 )
 from .discrete_ot import (
-    MAX_BRUTE,
     MAX_EXACT,
     TransportPlan,
-    brute_force_w2,
     empirical_w2,
     pointwise_error,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "SingularMatrix",
     "TooFewSamples",
     "TooLarge",
-    "spd_inv_sqrt",
     "spd_sqrt",
     "AffineMap",
     "GaussianModel",
@@ -99,10 +96,8 @@ __all__ = [
     "gaussian_w2",
     "gelbrich_gap_bound",
     "normal_approx_bound",
-    "MAX_BRUTE",
     "MAX_EXACT",
     "TransportPlan",
-    "brute_force_w2",
     "empirical_w2",
     "pointwise_error",
     "DomainSpec",

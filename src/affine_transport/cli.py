@@ -220,19 +220,6 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma separated integers, got {text!r}")
 
 
-def _float_pair(text: str, flag: str) -> tuple[float, float]:
-    values = _float_list(text, flag)
-    if len(values) != 2:
-        raise UsageError(f"{flag} expects exactly two numbers, got {text!r}")
-    return values[0], values[1]
-
-
-def _default_dynamics(seed: int, d: int, k: int):
-    m = rng_stream(seed, "dynamics").standard_normal((d, d)) / np.sqrt(d)
-    b = rng_stream(seed, "controls").standard_normal((d, k)) / np.sqrt(k)
-    return m, b
-
-
 _PAIR_SPEC_KEYS = {
     "kind",
     "n",
@@ -262,7 +249,10 @@ def _doc_from_flags(args) -> dict:
         }
         if args.kind == "puck":
             text = getattr(args, f"{side}_friction") or default_friction
-            part["friction"] = _float_pair(text, f"--{side}-friction")
+            friction = _float_list(text, f"--{side}-friction")
+            if len(friction) != 2:
+                raise UsageError(f"--{side}-friction expects exactly two numbers, got {text!r}")
+            part["friction"] = tuple(friction)
             part["curl"] = getattr(args, f"{side}_curl")
         else:
             for field, name, parse in (
@@ -312,7 +302,8 @@ def _pair_from_doc(doc: dict, seed: int):
         if shape[0] * shape[1] * 8 > np.iinfo(np.intp).max:
             raise BadSpec(f"spec asks for a float64 array of shape {shape}, too large to index")
     if kind == "linear":
-        m, b = _default_dynamics(seed, d, k)
+        m = rng_stream(seed, "dynamics").standard_normal((d, d)) / np.sqrt(d)
+        b = rng_stream(seed, "controls").standard_normal((d, k)) / np.sqrt(k)
         base["dynamics"] = doc.get("dynamics", m)
         base["controls"] = doc.get("controls", b)
     sides = []
@@ -349,13 +340,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_pair(source_path, target_path):
-    return load_csv(source_path), load_csv(target_path)
-
-
 def cmd_fit(args) -> int:
     out = _require_out(args)
-    src, tgt = _load_pair(args.source, args.target)
+    src, tgt = load_csv(args.source), load_csv(args.target)
     model = fit(src, tgt)
     frob = float(np.linalg.norm(model.composed.matrix))
     # scored before the model is written, so a failing fit leaves no file
@@ -398,7 +385,7 @@ def _report_row(report) -> dict:
 def cmd_eval(args) -> int:
     out = _require_out(args)
     model = load_model(args.model)
-    src, tgt = _load_pair(args.source, args.target)
+    src, tgt = load_csv(args.source), load_csv(args.target)
     report = evaluate(model, src, tgt)
     row = _report_row(report)
     _write_rows(out, list(row), [row], args.fmt)
@@ -454,7 +441,7 @@ def cmd_learning_curve(args) -> int:
         raise UsageError(
             f"--holdout-fraction must be in (0, 1), got {args.holdout_fraction}"
         )
-    src, tgt = _load_pair(args.source, args.target)
+    src, tgt = load_csv(args.source), load_csv(args.target)
     check_paired(src, tgt)
     fractions = (1.0 - args.holdout_fraction, args.holdout_fraction)
     pool_s, hold_s = split(src, fractions, args.seed)
@@ -472,7 +459,7 @@ def cmd_learning_curve(args) -> int:
 
 
 def cmd_score(args) -> int:
-    src, tgt = _load_pair(args.source, args.target)
+    src, tgt = load_csv(args.source), load_csv(args.target)
     check_paired(src, tgt)
     transport = at_map(src.rows, tgt.rows)
     rho = affinity_score(transport.apply(src.rows), tgt.rows)

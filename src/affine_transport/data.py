@@ -134,15 +134,6 @@ def check_paired(source: TransitionDataset, target: TransitionDataset) -> None:
         )
 
 
-def _real(value, name: str) -> float:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise BadSpec(f"{name} must be a number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """Parameters of one synthetic domain.
@@ -173,16 +164,15 @@ class DomainSpec:
         if self.kind not in ("linear", "puck"):
             raise BadSpec(f"unknown domain kind {self.kind!r}")
         for field in ("noise_std", "friction_x", "friction_y", "curl", "gravity"):
-            object.__setattr__(self, field, _real(getattr(self, field), field))
+            value = getattr(self, field)
+            message = f"{field} must be a finite number, got {value!r}"
+            object.__setattr__(self, field, _json_real(value, BadSpec, message))
         if not self.noise_std >= 0.0:
             raise BadSpec(f"noise_std must be >= 0, got {self.noise_std!r}")
         for field in ("dynamics", "controls", "scales"):
             value = getattr(self, field)
             if value is not None:
-                try:
-                    value = np.asarray(value, dtype=np.float64)
-                except (TypeError, ValueError, OverflowError):
-                    raise BadSpec(f"{field} must be an array of numbers, got {value!r}")
+                value = _json_reals(value, BadSpec, f"{field} must be an array of finite numbers")
                 object.__setattr__(self, field, _readonly(value))
         for field in ("inverted", "disabled"):
             value = getattr(self, field)
@@ -194,7 +184,7 @@ class DomainSpec:
             object.__setattr__(self, field, tuple(_json_int(i, BadSpec, message) for i in indices))
 
     @classmethod
-    def from_dict(cls, doc: dict, kind: str | None = None) -> "DomainSpec":
+    def from_dict(cls, doc: dict) -> "DomainSpec":
         """Build a spec from a plain dict, e.g. one section of a spec file."""
         if not isinstance(doc, dict):
             raise BadSpec(f"domain spec must be a mapping, got {type(doc).__name__}")
@@ -205,8 +195,6 @@ class DomainSpec:
                 doc["friction_x"], doc["friction_y"] = fr
             except (TypeError, ValueError):
                 raise BadSpec(f"friction must be a pair of numbers, got {fr!r}")
-        if kind is not None:
-            doc.setdefault("kind", kind)
         allowed = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - allowed
         if unknown:
@@ -251,16 +239,18 @@ def gen_linear(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionDa
             raise BadSpec(f"{name} indices out of range for dimension {d}: {idx}")
     n = a.shape[0]
     states = rng_stream(seed, "states").standard_normal((n, d))
-    mp = scales[:, None] * m
-    flip = sorted(set(spec.inverted) - set(spec.disabled))
-    if flip:
-        mp[flip, :] *= -1.0
-    bp = b.copy()
-    if spec.disabled:
-        bp[sorted(set(spec.disabled)), :] = 0.0
-    nxt = states @ mp.T + a @ bp.T
-    if spec.noise_std > 0.0:
-        nxt = nxt + spec.noise_std * rng_stream(seed, "noise", spec.label).standard_normal((n, d))
+    # huge spec values may overflow; TransitionDataset rejects the result once
+    with np.errstate(all="ignore"):
+        mp = scales[:, None] * m
+        flip = sorted(set(spec.inverted) - set(spec.disabled))
+        if flip:
+            mp[flip, :] *= -1.0
+        bp = b.copy()
+        if spec.disabled:
+            bp[sorted(set(spec.disabled)), :] = 0.0
+        nxt = states @ mp.T + a @ bp.T
+        if spec.noise_std > 0.0:
+            nxt = nxt + spec.noise_std * rng_stream(seed, "noise", spec.label).standard_normal((n, d))
     rows = np.hstack([states, a, nxt])
     return TransitionDataset(d, k, rows, spec.label, seed)
 
@@ -287,12 +277,13 @@ def gen_puck(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionData
         raise BadSpec(f"puck actions must be (n, 2) launch velocities, got shape {v.shape}")
     n = v.shape[0]
     mu = np.array([spec.friction_x, spec.friction_y])
-    disp = np.sign(v) * v**2 / (2.0 * mu * spec.gravity)
     c, s = math.cos(spec.curl), math.sin(spec.curl)
     rot = np.array([[c, -s], [s, c]])
-    final = disp @ rot.T
-    if spec.noise_std > 0.0:
-        final = final + spec.noise_std * rng_stream(seed, "noise", spec.label).standard_normal((n, 2))
+    # huge spec values may overflow; TransitionDataset rejects the result once
+    with np.errstate(all="ignore"):
+        final = (np.sign(v) * v**2 / (2.0 * mu * spec.gravity)) @ rot.T
+        if spec.noise_std > 0.0:
+            final = final + spec.noise_std * rng_stream(seed, "noise", spec.label).standard_normal((n, 2))
     rows = np.hstack([np.zeros((n, 2)), v, final])
     return TransitionDataset(2, 2, rows, spec.label, seed)
 
@@ -307,6 +298,27 @@ def _json_int(value, error_type, message: str) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise error_type(message)
+
+
+def _json_real(value, error_type, message: str) -> float:
+    """``float(value)`` for a number field of a JSON document; anything but a
+    finite real number (a boolean, a string, inf, NaN) raises ``error_type(message)``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise error_type(message)
+        if math.isfinite(value):
+            return value
+    raise error_type(message)
+
+
+def _json_reals(value, error_type, message: str) -> np.ndarray:
+    """A (nested) list of numbers as a float64 array of the same shape, every
+    element read by ``_json_real``."""
+    cells = np.asarray(value, dtype=object)  # a ragged list becomes an array of lists
+    reals = [_json_real(cell, error_type, message) for cell in cells.flat]
+    return np.array(reals, dtype=np.float64).reshape(cells.shape)
 
 
 def _read_json(path, error_type, what: str) -> dict:

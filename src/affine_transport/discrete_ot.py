@@ -2,13 +2,11 @@
 
 With uniform weights on n points per side, the Kantorovich problem has a
 permutation solution, so the exact distance reduces to a linear assignment
-over the squared-distance cost matrix. A factorial-time enumerator is kept
-alongside as an independent oracle for small instances.
+over the squared-distance cost matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +19,11 @@ from .linalg import sample_pair
 __all__ = [
     "TransportPlan",
     "empirical_w2",
-    "brute_force_w2",
     "pointwise_error",
     "MAX_EXACT",
-    "MAX_BRUTE",
 ]
 
 MAX_EXACT = 4096
-MAX_BRUTE = 8
 
 
 @dataclass(frozen=True)
@@ -53,14 +48,6 @@ class TransportPlan:
         object.__setattr__(self, "permutation", perm)
 
 
-def _transport_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """``sample_pair``, and the sets must not be empty."""
-    xs, ys = sample_pair(x, y)
-    if xs.shape[0] == 0:
-        raise PairingMismatch("cannot transport between empty sample sets")
-    return xs, ys
-
-
 def empirical_w2(x: np.ndarray, y: np.ndarray):
     """Exact W2 between two equal-size point sets with uniform weights.
 
@@ -73,8 +60,10 @@ def empirical_w2(x: np.ndarray, y: np.ndarray):
     DimensionMismatch if they differ in width, and TooLarge above 4096 points
     per side.
     """
-    xs, ys = _transport_pair(x, y)
+    xs, ys = sample_pair(x, y)
     n = xs.shape[0]
+    if n == 0:
+        raise PairingMismatch("cannot transport between empty sample sets")
     if n > MAX_EXACT:
         raise TooLarge(f"exact assignment is capped at {MAX_EXACT} points, got {n}")
     cost = cdist(xs, ys, metric="sqeuclidean")
@@ -82,27 +71,6 @@ def empirical_w2(x: np.ndarray, y: np.ndarray):
     total = float(cost[rows, cols].sum()) / n
     # the cost is square, so rows is range(n) and cols alone is the matching
     return float(np.sqrt(max(total, 0.0))), TransportPlan(cols, total)
-
-
-def brute_force_w2(x: np.ndarray, y: np.ndarray) -> float:
-    """W2 by exhaustive enumeration of all pairings; oracle for tiny n.
-
-    Kept deliberately independent of the assignment path: the cost of each
-    permutation is accumulated with direct arithmetic.
-    """
-    xs, ys = _transport_pair(x, y)
-    n = xs.shape[0]
-    if n > MAX_BRUTE:
-        raise TooLarge(f"enumeration is capped at {MAX_BRUTE} points, got {n}")
-    best = np.inf
-    for perm in itertools.permutations(range(n)):
-        total = 0.0
-        for i, j in enumerate(perm):
-            diff = xs[i] - ys[j]
-            total += float(diff @ diff)
-        if total < best:
-            best = total
-    return float(np.sqrt(best / n))
 
 
 def pointwise_error(predicted: np.ndarray, actual: np.ndarray):

@@ -172,8 +172,8 @@ def gaussian_ot_map(p: GaussianModel, q: GaussianModel) -> AffineMap:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"models have dimensions {p.dim} and {q.dim}")
-    s2 = _root(q.covariance, "target covariance", inverse=False, require_invertible=True)
-    s1 = _root(p.covariance, "source covariance", inverse=False, require_invertible=True)
+    s2 = _root(q.covariance, "target covariance", require_invertible=True)
+    s1 = _root(p.covariance, "source covariance", require_invertible=True)
     # S2 S1 S1 S2 = (S2 S1)(S2 S1)^T, so with S2 S1 = U diag(sig) V^T the
     # middle factor of A is U diag(1/sig) U^T
     u, sig, _ = np.linalg.svd(s2 @ s1)

@@ -24,7 +24,6 @@ __all__ = [
     "sample_matrix",
     "sample_pair",
     "spd_sqrt",
-    "spd_inv_sqrt",
 ]
 
 # relative tolerances for symmetry, indefiniteness, and rank checks
@@ -98,7 +97,7 @@ def _checked_eigh(m, name: str):
     return w, v, scale
 
 
-def _root(m, name: str, *, inverse: bool, require_invertible: bool) -> np.ndarray:
+def _root(m, name: str, *, require_invertible: bool) -> np.ndarray:
     w, v, scale = _checked_eigh(m, name)
     if require_invertible:
         lo = max(float(w[0]), 0.0)
@@ -107,7 +106,7 @@ def _root(m, name: str, *, inverse: bool, require_invertible: bool) -> np.ndarra
                 f"{name} is numerically singular: eigenvalue ratio {lo:.3e} / {scale:.3e}"
             )
     roots = np.sqrt(np.maximum(w, CLAMP_TOL * scale))
-    s = (v / roots if inverse else v * roots) @ v.T
+    s = (v * roots) @ v.T
     return (s + s.T) / 2.0
 
 
@@ -135,29 +134,5 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     IndefiniteMatrix
         If an eigenvalue is below ``-1e-6 * lambda_max``.
     """
-    return _root(m, "spd_sqrt input", inverse=False, require_invertible=False)
+    return _root(m, "spd_sqrt input", require_invertible=False)
 
-
-def spd_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse principal square root of a symmetric positive definite matrix.
-
-    Parameters
-    ----------
-    m : (d, d) array
-        Symmetric positive definite matrix.
-
-    Returns
-    -------
-    (d, d) array
-        Symmetric matrix S with S @ m @ S close to the identity.
-
-    Raises
-    ------
-    NotSymmetric
-        If ``m`` is not symmetric within tolerance.
-    IndefiniteMatrix
-        If an eigenvalue is below ``-1e-6 * lambda_max``.
-    SingularMatrix
-        If ``lambda_min / lambda_max`` falls below ``1e-12``.
-    """
-    return _root(m, "spd_inv_sqrt input", inverse=True, require_invertible=True)

@@ -22,6 +22,7 @@ import numpy as np
 from .data import (
     TransitionDataset,
     _json_int,
+    _json_reals,
     _read_json,
     _write_json,
     check_paired,
@@ -324,15 +325,12 @@ def load_model(path) -> TransferModel:
         )
     arrays = {}
     for name, size in (("R", dim * dim), ("A", dim * dim), ("b", dim)):
-        raw = _model_field(doc, name)
-        try:
-            arr = np.asarray([float(v) for v in raw], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedModel(f"field {name!r} must be a flat list of numbers")
+        flat = f"field {name!r} must be a flat list of finite numbers"
+        arr = _json_reals(_model_field(doc, name), MalformedModel, flat)
+        if arr.ndim != 1:
+            raise MalformedModel(flat)
         if arr.shape != (size,):
             raise MalformedModel(f"field {name!r} has {arr.shape[0]} entries, expected {size}")
-        if not np.all(np.isfinite(arr)):
-            raise MalformedModel(f"field {name!r} contains non-finite entries")
         arrays[name] = arr
     meta_doc = _model_field(doc, "meta")
     if not isinstance(meta_doc, dict):

@@ -1,15 +1,48 @@
-"""Shared builders for the test suite."""
+"""Shared builders and independent oracles for the test suite."""
+
+import itertools
 
 import numpy as np
 
 from affine_transport import (
     DomainSpec,
     GaussianModel,
+    TooLarge,
     TransitionDataset,
     gen_linear,
     gen_puck,
     rng_stream,
 )
+
+MAX_BRUTE = 8
+
+
+def brute_force_w2(x, y):
+    """W2 between equal-size point sets with uniform weights, by enumerating
+    every pairing; an oracle for the assignment solver at tiny n.
+
+    It shares no code with the solver: the cost of each permutation is
+    accumulated with direct arithmetic. A 1-D array is read as one column.
+    """
+    xs, ys = (np.asarray(a, dtype=np.float64).reshape(len(a), -1) for a in (x, y))
+    n = xs.shape[0]
+    if n > MAX_BRUTE:
+        raise TooLarge(f"enumeration is capped at {MAX_BRUTE} points, got {n}")
+    best = np.inf
+    for perm in itertools.permutations(range(n)):
+        total = 0.0
+        for i, j in enumerate(perm):
+            diff = xs[i] - ys[j]
+            total += float(diff @ diff)
+        best = min(best, total)
+    return float(np.sqrt(best / n))
+
+
+def spd_inv_sqrt(m):
+    """Inverse principal square root of an SPD matrix from a plain ``eigh``;
+    an oracle for the package's roots, with none of their checks or clamping."""
+    w, v = np.linalg.eigh(m)
+    return (v / np.sqrt(w)) @ v.T
 
 
 def random_orthogonal(rng, d):

@@ -16,7 +16,6 @@ import pytest
 from affine_transport import (
     GaussianModel,
     at_map,
-    brute_force_w2,
     empirical_w2,
     estimate_moments,
     evaluate,
@@ -30,7 +29,14 @@ from affine_transport import (
     split,
 )
 from affine_transport.cli import main
-from helpers import affine_rows_pair, linear_pair, puck_pair, random_orthogonal, random_spd
+from helpers import (
+    affine_rows_pair,
+    brute_force_w2,
+    linear_pair,
+    puck_pair,
+    random_orthogonal,
+    random_spd,
+)
 
 
 def _verdict(num, ok, detail):

@@ -602,3 +602,83 @@ def test_undecodable_json_documents(int_work, tmp_path, capsys, text):
         assert run(*argv) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error[{name}]: ")
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (["--kind", "puck", "--n", 10, "--target-curl", "inf"],
+         {"kind": "puck", "n": 10, "target": {"curl": float("inf")}}),
+        (["--kind", "puck", "--n", 10, "--noise", "inf"],
+         {"kind": "puck", "n": 10, "source": {"noise_std": float("inf")}}),
+        (["--kind", "linear", "--n", 10, "--target-scales", "1,inf,1"],
+         {"kind": "linear", "n": 10, "target": {"scales": [1.0, float("nan"), 1.0]}}),
+    ],
+    ids=["curl", "noise", "scales"],
+)
+def test_non_finite_spec_numbers_are_bad_specs(tmp_path, capsys, flags, doc):
+    # json.dumps writes Infinity and NaN, which json.loads reads back
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps(doc))
+    for argv in (flags, ["--spec", spec]):
+        assert run("synth", *argv, "--out", tmp_path) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[BadSpec]: ")
+    assert not (tmp_path / "source.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "linear", "--target-scales", "1e308,1e308,1e308"],
+        ["--kind", "puck", "--noise", "1e308"],
+    ],
+    ids=["linear-scales", "puck-noise"],
+)
+def test_overflowing_synth_prints_one_error(tmp_path, capsys, flags):
+    # finite spec values whose rows overflow: no numpy warning comes first
+    assert run("synth", *flags, "--n", 10, "--out", tmp_path) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[NonFinite]: ")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("target", "scales", 0), ("dynamics", 1, 1), ("controls", 0, 0)],
+    ids=lambda p: ".".join(map(str, p)),
+)
+def test_spec_array_fields_reject_booleans(tmp_path, capsys, path):
+    doc = {"kind": "linear", "n": 10, "state_dim": 2, "action_dim": 1,
+           "dynamics": [[0.5, 0.1], [0.0, 0.9]], "controls": [[1.0], [0.5]],
+           "target": {"scales": [1.0, 2.0]}}
+    _get(doc, path[:-1])[path[-1]] = True
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps(doc))
+    assert run("synth", "--spec", spec, "--out", tmp_path) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[BadSpec]: ")
+
+
+@pytest.mark.parametrize("name", ["R", "A", "b"])
+def test_model_array_fields_reject_booleans(int_work, tmp_path, capsys, name):
+    pair = int_work / "pair"
+    doc = json.loads((int_work / "model.json").read_text())
+    doc[name][0] = True
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    code = run("eval", "--model", tmp_path / "model.json", "--source", pair / "source.csv",
+               "--target", pair / "target.csv", "--out", tmp_path / "r.json")
+    err = capsys.readouterr().err.splitlines()
+    assert (code, len(err)) == (2, 1)
+    assert err[0].startswith("error[MalformedModel]: ")
+
+
+def test_learning_curve_csv_from_synth_pair(tmp_path):
+    # the sample-efficiency table: a synthesized linear pair, then its curve as CSV
+    pair = synth_linear(tmp_path, "pair", n=200, extra=("--target-invert", "1"))
+    out = tmp_path / "curve.csv"
+    assert run("learning-curve", "--source", pair / "source.csv", "--target",
+               pair / "target.csv", "--sizes", "8,16,32", "--repeats", 2,
+               "--format", "csv", "--out", out) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n_fit,mean_error,std_error,repeats"
+    assert [line.split(",")[0] for line in lines[1:]] == ["8", "16", "32"]

@@ -211,7 +211,7 @@ def test_gen_puck_rejects_bad_specs():
 
 
 def test_spec_from_dict_friction_alias():
-    spec = DomainSpec.from_dict({"friction": [0.2, 0.3]}, kind="puck")
+    spec = DomainSpec.from_dict({"kind": "puck", "friction": [0.2, 0.3]})
     assert spec.friction_x == 0.2 and spec.friction_y == 0.3
 
 
@@ -219,7 +219,7 @@ def test_spec_from_dict_rejects_unknown_fields():
     with pytest.raises(BadSpec):
         DomainSpec.from_dict({"kind": "puck", "mass": 1.0})
     with pytest.raises(BadSpec):
-        DomainSpec.from_dict({"label": "x"})  # no kind anywhere
+        DomainSpec.from_dict({"label": "x"})  # no kind
 
 
 def test_csv_round_trip(tmp_path):
@@ -273,6 +273,18 @@ def test_load_rejects_non_numeric_cell(tmp_path):
 def test_load_rejects_nan_cell(tmp_path):
     path = _write_pair(tmp_path, "0.0,NaN,0.0\n")
     with pytest.raises(MalformedCsv):
+        load_csv(path)
+
+
+# every cell goes through float(), so padding and digit underscores are read
+def test_load_reads_cells_as_float_does(tmp_path):
+    path = _write_pair(tmp_path, " 1.5,1_0 ,\t-2\n")
+    np.testing.assert_array_equal(load_csv(path).rows, [[1.5, 10.0, -2.0]])
+
+
+def test_load_rejects_blank_line(tmp_path):
+    path = _write_pair(tmp_path, "0.0,0.0,0.0\n\n1.0,1.0,1.0\n")
+    with pytest.raises(MalformedCsv, match="row 2 has 1 columns"):
         load_csv(path)
 
 

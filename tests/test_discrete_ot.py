@@ -7,15 +7,14 @@ import hypothesis.strategies as st
 
 from affine_transport import (
     DimensionMismatch,
-    MAX_BRUTE,
     MAX_EXACT,
     PairingMismatch,
     TooLarge,
     TransportPlan,
-    brute_force_w2,
     empirical_w2,
     pointwise_error,
 )
+from helpers import MAX_BRUTE, brute_force_w2
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -1,9 +1,12 @@
-"""Property-based fuzz of the CLI over spec, manifest and model documents.
+"""Property-based fuzz of the CLI over spec, manifest and model documents,
+synth flags and dataset CSV bodies.
 
 Each document starts valid and gets one field replaced, deleted or added, or
-is replaced as a whole. Whatever the document, ``main`` must return a code
-from the README's exit-code table without raising, and a non-zero exit must
-print exactly one ``error[Type]: ...`` or ``usage error: ...`` line.
+is replaced as a whole. Synth flags take non-finite, huge and boolean-like
+text, and CSV bodies get blank lines, padded, underscored, non-finite and
+missing cells. Whatever the input, ``main`` must return a code from the
+README's exit-code table without raising, and a non-zero exit must print
+exactly one ``error[Type]: ...`` or ``usage error: ...`` line.
 """
 
 import contextlib
@@ -157,3 +160,81 @@ def test_model_documents(work, data):
     model.write_text(json.dumps(doc))
     check_main(["eval", "--model", model, "--source", pair / "source.csv",
                 "--target", pair / "target.csv", "--out", work / "report.json"])
+
+
+# flag text: non-finite, huge, boolean-like and malformed numbers
+FLAG_TOKENS = st.sampled_from(
+    ["inf", "-inf", "nan", "1e308", "-1e308", "1e309", "true", "false", "True", "1", "0",
+     "-1", "0.5", "2", "", " 1", "1_0", "abc"]
+)
+FLAG_TEXT = FLAG_TOKENS | st.lists(FLAG_TOKENS, min_size=1, max_size=4).map(",".join)
+NOISE_FLAGS = ["--noise", "--source-noise", "--target-noise"]
+KIND_FLAGS = {
+    "puck": NOISE_FLAGS + ["--source-curl", "--target-curl", "--source-friction",
+                           "--target-friction"],
+    "linear": NOISE_FLAGS + ["--source-scales", "--target-scales", "--source-invert",
+                             "--target-invert", "--source-disable", "--target-disable",
+                             "--state-dim", "--action-dim"],
+}
+
+
+@st.composite
+def synth_flags(draw):
+    """A synth command line for a small pair whose value flags carry fuzzed text."""
+    kind = draw(st.sampled_from(sorted(KIND_FLAGS)))
+    argv = ["synth", "--kind", kind, "--n", draw(st.sampled_from(["1", "2", "12", "0", "true"]))]
+    flags = draw(st.lists(st.sampled_from(KIND_FLAGS[kind]), min_size=1, max_size=4, unique=True))
+    for flag in flags:
+        # the dimensions size allocations, so they stay small
+        text = draw(st.sampled_from(["1", "3", "0", "true", "1e308"]) if flag.endswith("-dim")
+                    else FLAG_TEXT)
+        # --flag=TEXT, so that text starting with "-" is not read as a flag
+        argv.append(f"{flag}={text}")
+    return argv
+
+
+@settings(FUZZ, max_examples=200)
+@given(argv=synth_flags())
+def test_synth_flags(work, argv):
+    check_main(argv + ["--out", work / "out"])
+
+
+CELL_TOKENS = st.sampled_from(
+    ["0.5", "-2", " 1.5", "1.5 ", "\t3", "1_0", "nan", "inf", "-inf", "", "abc", "1e308", "0x1"]
+)
+
+
+@st.composite
+def csv_body(draw, lines):
+    """The lines of a dataset CSV with a few cells, rows or line breaks changed."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        action = draw(st.sampled_from(["cell", "pad", "short", "long", "blank"]))
+        if action == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(CELL_TOKENS)
+        elif action == "pad":
+            j = draw(st.integers(0, len(cells) - 1))
+            cells[j] = draw(st.sampled_from([" ", "  ", "\t"])) + cells[j] + " "
+        elif action == "short":
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]
+        elif action == "long":
+            cells.append(draw(CELL_TOKENS))
+        else:
+            lines.insert(i, "")
+            continue
+        lines[i] = ",".join(cells)
+    ending = draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+    return "\n".join(lines) + ending
+
+
+@FUZZ
+@given(data=st.data())
+def test_csv_bodies(work, data):
+    pair = work / "pair"
+    lines = (pair / "source.csv").read_text().splitlines()
+    (work / "body.csv").write_text(data.draw(csv_body(lines)), newline="")
+    (work / "body.manifest.json").write_bytes((pair / "source.manifest.json").read_bytes())
+    check_main(["fit", "--source", work / "body.csv", "--target", pair / "target.csv",
+                "--out", work / "fuzz-model.json"])

@@ -18,10 +18,9 @@ from affine_transport import (
     gaussian_w2,
     gelbrich_gap_bound,
     normal_approx_bound,
-    spd_inv_sqrt,
     spd_sqrt,
 )
-from helpers import random_gaussian, random_spd
+from helpers import random_gaussian, random_spd, spd_inv_sqrt
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -98,11 +97,13 @@ def test_ot_map_pure_translation():
 
 def test_ot_map_rejects_singular_covariance():
     good = _gauss([0.0, 0.0], np.eye(2))
-    bad = _gauss([0.0, 0.0], np.diag([1.0, 0.0]))
-    with pytest.raises(SingularMatrix):
-        gaussian_ot_map(bad, good)
-    with pytest.raises(SingularMatrix):
-        gaussian_ot_map(good, bad)
+    # exactly singular, and an eigenvalue ratio below the 1e-12 threshold
+    for small in (0.0, 1e-15):
+        bad = _gauss([0.0, 0.0], np.diag([1.0, small]))
+        with pytest.raises(SingularMatrix):
+            gaussian_ot_map(bad, good)
+        with pytest.raises(SingularMatrix):
+            gaussian_ot_map(good, bad)
 
 
 @settings(max_examples=30, deadline=None)

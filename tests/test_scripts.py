@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("puck_table.py", ["--n", "60"]),
         ("randomization_sweep.py", ["--n", "60"]),
-        ("learning_curve.py", ["--n", "200", "--repeats", "2", "--out", "curve.csv"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
