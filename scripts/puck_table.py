@@ -43,8 +43,8 @@ def main():
         fit_t, hold_t = split(tgt, (0.5, 0.5), args.seed)
         report = evaluate(fit(fit_s, fit_t), hold_s, hold_t)
         print(
-            f"{friction[0]:>6.2f} {friction[1]:>6.2f} {report.error_before[0]:>10.4f} "
-            f"{report.error_after[0]:>10.4f} {report.rho_aff:>8.3f}"
+            f"{friction[0]:>6.2f} {friction[1]:>6.2f} {report.error_before_mean:>10.4f} "
+            f"{report.error_after_mean:>10.4f} {report.rho_aff:>8.3f}"
         )
 
 

@@ -54,8 +54,8 @@ def main():
         fit_t, hold_t = split(tgt, (0.5, 0.5), args.seed)
         report = evaluate(fit(fit_s, fit_t), hold_s, hold_t)
         print(
-            f"{strength:>8.1f} {report.error_before[0]:>10.4f} "
-            f"{report.error_after[0]:>10.4f} {report.rho_aff:>8.3f}"
+            f"{strength:>8.1f} {report.error_before_mean:>10.4f} "
+            f"{report.error_after_mean:>10.4f} {report.rho_aff:>8.3f}"
         )
 
 

@@ -38,7 +38,6 @@ from .gaussian_ot import (
 )
 from .discrete_ot import (
     MAX_EXACT,
-    TransportPlan,
     empirical_w2,
     pointwise_error,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "gelbrich_gap_bound",
     "normal_approx_bound",
     "MAX_EXACT",
-    "TransportPlan",
     "empirical_w2",
     "pointwise_error",
     "DomainSpec",

@@ -24,6 +24,7 @@ from .data import (
     DomainSpec,
     TransitionDataset,
     _json_int,
+    _json_reals,
     _read_json,
     _write_csv,
     _write_json,
@@ -116,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_nonneg_int, default=0, help="random seed (default 0)")
     common.add_argument("--out", default=None, help="output path (directory for synth)")
-    common.add_argument(
+    # only the commands that write a report take --format
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument(
         "--format",
         dest="fmt",
         choices=("csv", "json"),
@@ -160,14 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--target", required=True, help="target CSV")
     fit_p.set_defaults(func=cmd_fit)
 
-    eval_p = sub.add_parser("eval", parents=[common], help="evaluate a fitted model")
+    eval_p = sub.add_parser("eval", parents=[common, report], help="evaluate a fitted model")
     eval_p.add_argument("--model", required=True, help="model file from fit")
     eval_p.add_argument("--source", required=True)
     eval_p.add_argument("--target", required=True)
     eval_p.set_defaults(func=cmd_eval)
 
     curve = sub.add_parser(
-        "learning-curve", parents=[common], help="held-out error versus fit size"
+        "learning-curve", parents=[common, report], help="held-out error versus fit size"
     )
     curve.add_argument("--source", required=True)
     curve.add_argument("--target", required=True)
@@ -182,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.set_defaults(func=cmd_learning_curve)
 
     score = sub.add_parser(
-        "score", parents=[common], help="affinity score between two domains"
+        "score", parents=[common, report], help="affinity score between two domains"
     )
     score.add_argument("--source", required=True)
     score.add_argument("--target", required=True)
@@ -293,8 +296,25 @@ def _pair_from_doc(doc: dict, seed: int):
     base = {"kind": kind}
     d, k = 2, 2
     if kind == "linear":
-        d = _spec_int(doc, "state_dim", 3)
-        k = _spec_int(doc, "action_dim", 2)
+        for name in ("dynamics", "controls"):
+            if name in doc:
+                m = _json_reals(doc[name], BadSpec, f"{name} must be an array of finite numbers")
+                if m.ndim != 2:
+                    raise BadSpec(f"{name} must be a matrix, got shape {m.shape}")
+                base[name] = m
+        # given matrices fix the dimensions; a stated one must agree with them
+        dims = {}
+        if "controls" in base:
+            dims["state_dim"], dims["action_dim"] = base["controls"].shape
+        if "dynamics" in base:
+            dims["state_dim"] = base["dynamics"].shape[0]
+        for key, default in (("state_dim", 3), ("action_dim", 2)):
+            if key in doc:
+                stated = _spec_int(doc, key)
+                if dims.setdefault(key, stated) != stated:
+                    raise BadSpec(f"spec states {key} {stated}, its matrices have {dims[key]}")
+            dims.setdefault(key, default)
+        d, k = dims["state_dim"], dims["action_dim"]
         if d < 1 or k < 1:
             raise BadSpec(f"state_dim and action_dim must be positive, got {d} and {k}")
     # the arrays synth allocates: rows, dynamics, controls
@@ -302,10 +322,10 @@ def _pair_from_doc(doc: dict, seed: int):
         if shape[0] * shape[1] * 8 > np.iinfo(np.intp).max:
             raise BadSpec(f"spec asks for a float64 array of shape {shape}, too large to index")
     if kind == "linear":
-        m = rng_stream(seed, "dynamics").standard_normal((d, d)) / np.sqrt(d)
-        b = rng_stream(seed, "controls").standard_normal((d, k)) / np.sqrt(k)
-        base["dynamics"] = doc.get("dynamics", m)
-        base["controls"] = doc.get("controls", b)
+        if "dynamics" not in base:
+            base["dynamics"] = rng_stream(seed, "dynamics").standard_normal((d, d)) / np.sqrt(d)
+        if "controls" not in base:
+            base["controls"] = rng_stream(seed, "controls").standard_normal((d, k)) / np.sqrt(k)
     sides = []
     for side in ("source", "target"):
         part = doc.get(side, {})
@@ -359,27 +379,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _write_rows(path, fieldnames, rows, fmt) -> None:
-    if fmt == "csv":
-        _write_csv(path, fieldnames, ([row[name] for name in fieldnames] for row in rows))
+def _write_rows(path, doc, fmt) -> None:
+    """Write one record (a dict) or a list of records: as JSON, or as a CSV
+    whose header is the records' keys, one row per record."""
+    if fmt == "json":
+        _write_json(path, doc)
     else:
-        _write_json(path, rows[0] if len(rows) == 1 else rows)
-
-
-def _report_row(report) -> dict:
-    return {
-        "error_before_mean": report.error_before[0],
-        "error_before_std": report.error_before[1],
-        "error_after_mean": report.error_after[0],
-        "error_after_std": report.error_after[1],
-        "w2_before": report.w2_before,
-        "w2_after": report.w2_after,
-        "rho_aff": report.rho_aff,
-        "bound_value": report.bound_value,
-        "n_fit": report.n_fit,
-        "n_eval": report.n_eval,
-        "eval_on_fit_data": report.eval_on_fit_data,
-    }
+        rows = doc if isinstance(doc, list) else [doc]
+        _write_csv(path, list(rows[0]), (row.values() for row in rows))
 
 
 def cmd_eval(args) -> int:
@@ -387,12 +394,11 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     src, tgt = load_csv(args.source), load_csv(args.target)
     report = evaluate(model, src, tgt)
-    row = _report_row(report)
-    _write_rows(out, list(row), [row], args.fmt)
+    _write_rows(out, dataclasses.asdict(report), args.fmt)
     log.info("wrote report to %s", out)
     print(
-        f"eval: n_eval={report.n_eval} error_before={report.error_before[0]!r} "
-        f"error_after={report.error_after[0]!r} rho_aff={report.rho_aff!r}"
+        f"eval: n_eval={report.n_eval} error_before={report.error_before_mean!r} "
+        f"error_after={report.error_after_mean!r} rho_aff={report.rho_aff!r}"
     )
     return EXIT_OK
 
@@ -447,8 +453,7 @@ def cmd_learning_curve(args) -> int:
     pool_s, hold_s = split(src, fractions, args.seed)
     pool_t, hold_t = split(tgt, fractions, args.seed)
     points = learning_curve(pool_s, pool_t, hold_s, hold_t, sizes, args.repeats, args.seed)
-    rows = [dataclasses.asdict(p) for p in points]
-    _write_rows(out, ["n_fit", "mean_error", "std_error", "repeats"], rows, args.fmt)
+    _write_rows(out, [dataclasses.asdict(p) for p in points], args.fmt)
     log.info("wrote learning curve to %s", out)
     for p in points:
         print(
@@ -465,7 +470,7 @@ def cmd_score(args) -> int:
     rho = affinity_score(transport.apply(src.rows), tgt.rows)
     print(f"rho_aff={rho!r} n={src.n}")
     if args.out:
-        _write_rows(args.out, ["rho_aff", "n"], [{"rho_aff": rho, "n": src.n}], args.fmt)
+        _write_rows(args.out, {"rho_aff": rho, "n": src.n}, args.fmt)
     return EXIT_OK
 
 
@@ -495,7 +500,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AffineTransportError, OSError, UnicodeDecodeError) as exc:
+    except (AffineTransportError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
 

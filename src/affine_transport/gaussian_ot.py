@@ -91,12 +91,15 @@ def estimate_moments(samples: np.ndarray) -> GaussianModel:
     n, d = x.shape
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples to estimate moments, got {n}")
-    mean = x.mean(axis=0)
-    dev = x - mean
-    cov = dev.T @ dev / n
-    cov = (cov + cov.T) / 2.0
-    ridge = max(RIDGE_FLOOR, RIDGE_SCALE * float(np.trace(cov)) / d)
-    return GaussianModel(mean, cov + ridge * np.eye(d))
+    # finite samples can still overflow the covariance; _root rejects the
+    # result once, where the covariance is used
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        dev = x - mean
+        cov = dev.T @ dev / n
+        cov = (cov + cov.T) / 2.0
+        ridge = max(RIDGE_FLOOR, RIDGE_SCALE * float(np.trace(cov)) / d)
+        return GaussianModel(mean, cov + ridge * np.eye(d))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ re-enter through the transport offset b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,7 +77,10 @@ def procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitMeta:
-    """Provenance of a fitted model: sample count, seed, dataset fingerprints."""
+    """Provenance of a fitted model: sample count, seed, dataset fingerprints.
+
+    ``save_model`` writes these fields as the model file's ``meta`` block.
+    """
 
     n_fit: int
     seed: int | None
@@ -186,8 +189,7 @@ def affinity_score(transported: np.ndarray, target: np.ndarray) -> float:
     centered = y - y.mean(axis=0)
     if not np.any(centered):
         raise DegenerateInput("target samples are all identical; the score is undefined")
-    w2, _ = empirical_w2(t, y)
-    return _rho_and_bound(w2, y)[0]
+    return _rho_and_bound(empirical_w2(t, y), y)[0]
 
 
 def _rho_and_bound(w2: float, target: np.ndarray) -> tuple[float, float]:
@@ -201,6 +203,7 @@ def _rho_and_bound(w2: float, target: np.ndarray) -> tuple[float, float]:
 class TransferReport:
     """Evaluation of a fitted model on a paired dataset.
 
+    One field per column of the report ``eval`` writes, in column order.
     Errors are mean and population std of per-row next-state prediction
     error; the W2 values are exact empirical distances between full triplet
     sets before and after transport. ``eval_on_fit_data`` records whether
@@ -208,8 +211,10 @@ class TransferReport:
     fitted on, so in-sample and held-out numbers are never confused.
     """
 
-    error_before: tuple[float, float]
-    error_after: tuple[float, float]
+    error_before_mean: float
+    error_before_std: float
+    error_after_mean: float
+    error_after_std: float
     w2_before: float
     w2_after: float
     rho_aff: float
@@ -252,16 +257,18 @@ def evaluate(
     bound and rho) to ``evaluate_pointwise``.
     """
     error_before, error_after, transported = evaluate_pointwise(model, source, target)
-    w2_before, _ = empirical_w2(source.rows, target.rows)
-    w2_after, _ = empirical_w2(transported, target.rows)
+    w2_before = empirical_w2(source.rows, target.rows)
+    w2_after = empirical_w2(transported, target.rows)
     rho, bound = _rho_and_bound(w2_after, target.rows)
     on_fit = (
         dataset_fingerprint(source) == model.meta.source_hash
         and dataset_fingerprint(target) == model.meta.target_hash
     )
     return TransferReport(
-        error_before=error_before,
-        error_after=error_after,
+        error_before_mean=error_before[0],
+        error_before_std=error_before[1],
+        error_after_mean=error_after[0],
+        error_after_std=error_after[1],
         w2_before=w2_before,
         w2_after=w2_after,
         rho_aff=rho,
@@ -286,12 +293,7 @@ def save_model(model: TransferModel, path) -> None:
         "R": [float(v) for v in model.rotation.ravel()],
         "A": [float(v) for v in model.at.matrix.ravel()],
         "b": [float(v) for v in model.at.offset],
-        "meta": {
-            "n_fit": model.meta.n_fit,
-            "seed": model.meta.seed,
-            "source_hash": model.meta.source_hash,
-            "target_hash": model.meta.target_hash,
-        },
+        "meta": asdict(model.meta),
     }
     _write_json(path, doc)
 

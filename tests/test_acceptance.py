@@ -74,7 +74,7 @@ def test_criterion_02_solver_matches_enumeration():
         d = int(rng.integers(1, 4))
         x = rng.normal(size=(n, d))
         y = rng.normal(size=(n, d))
-        solved, _ = empirical_w2(x, y)
+        solved = empirical_w2(x, y)
         worst = max(worst, abs(solved - brute_force_w2(x, y)))
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -160,12 +160,12 @@ def bound_instances():
             my = estimate_moments(y)
             nx = GaussianModel(mx.mean, mx.covariance)
             ny = GaussianModel(my.mean, my.covariance)
-            w2_emp, _ = empirical_w2(x, y)
+            w2_emp = empirical_w2(x, y)
             transported = gaussian_ot_map(nx, ny).apply(x)
-            w2_after, _ = empirical_w2(transported, y)
+            w2_after = empirical_w2(transported, y)
             z = rng_stream(seed, "accept-normal-" + family).standard_normal((1000, 3))
             gauss_draw = mx.mean + z @ spd_sqrt(mx.covariance)
-            w2_self, _ = empirical_w2(gauss_draw, x)
+            w2_self = empirical_w2(gauss_draw, x)
             records.append(
                 {
                     "family": family,
@@ -222,8 +222,8 @@ def test_criterion_07_puck_transfer_analog():
     model = fit(fit_s, fit_t)
     report = evaluate(model, hold_s, hold_t)
     elapsed = time.perf_counter() - t0
-    before = report.error_before[0]
-    after = report.error_after[0]
+    before = report.error_before_mean
+    after = report.error_after_mean
     ok = after <= 0.5 * before and report.rho_aff >= 0.9 and elapsed < 5.0
     _verdict(
         7,
@@ -350,15 +350,15 @@ def test_criterion_10_rank_deficient_robustness():
     finite = all(
         np.isfinite(v)
         for v in (
-            report.error_before[0], report.error_after[0],
+            report.error_before_mean, report.error_after_mean,
             report.w2_before, report.w2_after, report.rho_aff, report.bound_value,
         )
     )
-    ok = finite and report.error_after[0] < report.error_before[0]
+    ok = finite and report.error_after_mean < report.error_before_mean
     _verdict(
         10,
         ok,
         f"constant-coordinate pair: fit/eval completed, held-out error "
-        f"{report.error_before[0]:.4f} -> {report.error_after[0]:.4f} "
+        f"{report.error_before_mean:.4f} -> {report.error_after_mean:.4f} "
         "(must decrease)",
     )

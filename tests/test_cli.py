@@ -311,7 +311,8 @@ def test_learning_curve_single_point_matches_eval(tmp_path):
         "--seed", 5, "--out", curve_path,
     )
     assert code == 0
-    point = json.loads(curve_path.read_text())
+    # one size still makes a list of one point, like every other curve
+    (point,) = json.loads(curve_path.read_text())
     assert point["n_fit"] == 300 and point["repeats"] == 1
 
     # replicate the internal split, then fit and eval through the CLI
@@ -640,6 +641,63 @@ def test_overflowing_synth_prints_one_error(tmp_path, capsys, flags):
     assert run("synth", *flags, "--n", 10, "--out", tmp_path) == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[NonFinite]: ")
+
+
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_overflowing_covariance_prints_one_error(tmp_path, capsys, command):
+    # finite rows whose covariance overflows: no numpy warning comes first
+    pair = synth_linear(tmp_path, "pair", n=20, extra=("--target-scales", "1e200,1,1"))
+    capsys.readouterr()
+    code = run(command, "--source", pair / "source.csv", "--target", pair / "target.csv",
+               "--out", tmp_path / "out.json")
+    err = capsys.readouterr().err.splitlines()
+    assert (code, len(err)) == (5, 1)
+    assert err[0].startswith("error[NonFinite]: ")
+
+
+def test_unallocatable_synth_prints_one_error(tmp_path, capsys):
+    # the 10**9 x 10**9 dynamics fit in intp but not in memory: numpy refuses
+    # the 8e18-byte request before touching any of it
+    code = run("synth", "--kind", "linear", "--state-dim", 1000000000, "--n", 1,
+               "--out", tmp_path)
+    err = capsys.readouterr().err.splitlines()
+    assert (code, len(err)) == (5, 1)
+    assert err[0].startswith("error[MemoryError]: ")
+    assert not (tmp_path / "source.csv").exists()
+
+
+LINEAR_4D = {"kind": "linear", "n": 10, "dynamics": np.eye(4).tolist(),
+             "controls": np.ones((4, 2)).tolist()}
+
+
+@pytest.mark.parametrize("stated", [{"state_dim": 3}, {"action_dim": 1},
+                                    {"state_dim": 4, "action_dim": 3}])
+def test_spec_dims_must_match_its_matrices(tmp_path, capsys, stated):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps({**LINEAR_4D, **stated}))
+    assert run("synth", "--spec", spec, "--out", tmp_path) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[BadSpec]: ")
+    assert not (tmp_path / "source.csv").exists()
+
+
+@pytest.mark.parametrize("stated", [{}, {"state_dim": 4, "action_dim": 2}])
+def test_spec_matrices_set_the_dims(tmp_path, stated):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps({**LINEAR_4D, **stated}))
+    assert run("synth", "--spec", spec, "--out", tmp_path) == 0
+    ds = load_csv(tmp_path / "target.csv")
+    assert (ds.state_dim, ds.action_dim, ds.n) == (4, 2, 10)
+
+
+@pytest.mark.parametrize("command", ["synth", "fit"])
+def test_format_only_where_a_report_is_written(tmp_path, capsys, command):
+    pair = synth_linear(tmp_path, "pair", n=20)
+    argv = {"synth": ("--kind", "puck", "--n", 10),
+            "fit": ("--source", pair / "source.csv", "--target", pair / "target.csv")}
+    assert run(command, *argv[command], "--format", "csv", "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,7 @@ def files(tmp_path, monkeypatch):
     transport = AffineMap(np.diag([2.0, 0.5, 1.0]), [0.25, -1.0, 3.0])
     save_model(TransferModel(rotation, transport, 1, 1, FitMeta(3, None, "ab", "cd")), model)
 
-    report = TransferReport((0.1, 0.2), (1 / 3, 0.0), 1e16, 2.5e-17, 0.75, 4.0, 3, 3, False)
+    report = TransferReport(0.1, 0.2, 1 / 3, 0.0, 1e16, 2.5e-17, 0.75, 4.0, 3, 3, False)
     points = [cli.LearningCurvePoint(2, 0.1, 1 / 3, 1), cli.LearningCurvePoint(3, 1e-5, 0.0, 1)]
     monkeypatch.setattr(cli, "evaluate", lambda *args: report)
     monkeypatch.setattr(cli, "learning_curve", lambda *args: points)
