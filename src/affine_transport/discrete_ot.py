@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import PairingMismatch, TooLarge
+from .errors import NonFinite, PairingMismatch, TooLarge
 from .linalg import sample_pair
 
 __all__ = [
@@ -31,8 +31,8 @@ def empirical_w2(x: np.ndarray, y: np.ndarray) -> float:
     matching. Deterministic for fixed inputs.
 
     Raises PairingMismatch if the sets differ in count or are empty,
-    DimensionMismatch if they differ in width, and TooLarge above 4096 points
-    per side.
+    DimensionMismatch if they differ in width, TooLarge above 4096 points
+    per side, and NonFinite if a squared distance overflows.
     """
     xs, ys = sample_pair(x, y)
     n = xs.shape[0]
@@ -41,6 +41,10 @@ def empirical_w2(x: np.ndarray, y: np.ndarray) -> float:
     if n > MAX_EXACT:
         raise TooLarge(f"exact assignment is capped at {MAX_EXACT} points, got {n}")
     cost = cdist(xs, ys, metric="sqeuclidean")
+    # squared distances are never negative, so the max is finite exactly when
+    # every entry is; unlike isfinite(cost) it needs no n-by-n mask
+    if not np.isfinite(cost.max()):
+        raise NonFinite("squared distances between the sample sets overflow")
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum()) / n
     return float(np.sqrt(max(total, 0.0)))
@@ -53,5 +57,7 @@ def pointwise_error(predicted: np.ndarray, actual: np.ndarray):
     deviation (ddof = 0).
     """
     p, a = sample_pair(predicted, actual, ("predicted", "actual"))
-    per = np.linalg.norm(p - a, axis=1)
-    return float(per.mean()), float(per.std()), per
+    # an error that overflows is inf (its std NaN), not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        per = np.linalg.norm(p - a, axis=1)
+        return float(per.mean()), float(per.std()), per

@@ -153,9 +153,8 @@ def fit(source: TransitionDataset, target: TransitionDataset) -> TransferModel:
         raise TooFewSamples(f"need at least 2 paired rows to fit, got {source.n}")
     xs = source.rows
     xt = target.rows
-    cs = xs - xs.mean(axis=0)
-    ct = xt - xt.mean(axis=0)
-    r = procrustes(cs.T, ct.T)
+    # the centred copies are freed before at_map makes its own
+    r = procrustes((xs - xs.mean(axis=0)).T, (xt - xt.mean(axis=0)).T)
     at = at_map(xs @ r.T, xt)
     meta = FitMeta(
         n_fit=source.n,

@@ -655,6 +655,23 @@ def test_overflowing_covariance_prints_one_error(tmp_path, capsys, command):
     assert err[0].startswith("error[NonFinite]: ")
 
 
+def test_overflowing_distances_print_one_error(tmp_path, capsys):
+    # a model fitted on an ordinary pair, evaluated on finite rows whose
+    # pairwise squared distances overflow: no numpy warning comes first
+    fit_pair = synth_linear(tmp_path, "fit", n=20, seed=1)
+    far_pair = synth_linear(tmp_path, "far", n=20, seed=1, extra=("--target-scales", "1e200,1,1"))
+    model = tmp_path / "model.json"
+    assert run("fit", "--source", fit_pair / "source.csv", "--target", fit_pair / "target.csv",
+               "--out", model) == 0
+    capsys.readouterr()
+    code = run("eval", "--model", model, "--source", far_pair / "source.csv",
+               "--target", far_pair / "target.csv", "--out", tmp_path / "report.json")
+    err = capsys.readouterr().err.splitlines()
+    assert (code, len(err)) == (5, 1)
+    assert err[0].startswith("error[NonFinite]: ")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_unallocatable_synth_prints_one_error(tmp_path, capsys):
     # the 10**9 x 10**9 dynamics fit in intp but not in memory: numpy refuses
     # the 8e18-byte request before touching any of it

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from affine_transport import data
 from affine_transport import (
     BadFraction,
     BadSpec,
@@ -295,6 +296,66 @@ def test_load_rejects_wrong_header(tmp_path):
     manifest.write_text('{"state_dim": 1, "action_dim": 1}\n')
     with pytest.raises(MalformedCsv):
         load_csv(path)
+
+
+# (body after the LF header, whether np.loadtxt's rows are kept): every
+# other file is read cell by cell, as are cells loadtxt reads differently
+LOADER_CASES = {
+    "plain": ("0.0,1.5,-2.0\n1e-300,2.5e-17,1e+16\n", True),
+    "single row": ("0.1,0.2,0.3\n", True),
+    "padded cells": (" 1.5 ,\t-2,3 \n", True),
+    "unicode spaces": ("\xa01,\u20002,3\u3000\n", True),
+    "underscore": ("1_0,0,0\n", False),
+    "underscore in exponent": ("1e5_0,0,0\n", False),
+    "arabic-indic digit": ("\u0661,0,0\n", False),
+    "fullwidth digit": ("\uff11,0,0\n", False),
+    "unit separator": ("1\x1f,0,0\n", False),
+    "crlf data lines": ("1,2,3\r\n4,5,6\r\n", False),
+    "lone cr": ("1,2,3\r4,5,6\n\n", False),
+    "infinity": ("infinity,0,0\n", False),
+    "negative nan": ("0,-nan,0\n", False),
+    "blank line mid-file": ("1,2,3\n\n4,5,6\n", False),
+    "header and blank line": ("\n", False),
+    "header only": ("", False),
+    "no trailing newline": ("1,2,3\n4,5,6", False),
+    "short row": ("1,2,3\n4,5\n", False),
+    "not utf-8": ("1,2,3\n", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_loadtxt_rows_match_per_cell_rows(tmp_path, case):
+    body, fast_kept = LOADER_CASES[case]
+    raw = ("s0,a0,ns0\n" + body).encode("utf-8")
+    if case == "not utf-8":
+        raw = raw[:-1] + b"\xff\n"  # loadtxt raises UnicodeDecodeError too
+    path = _write_pair(tmp_path, "")
+    path.write_bytes(raw)
+    try:
+        expected = data._per_cell_rows(path, 1, 1)
+    except (MalformedCsv, UnicodeDecodeError) as exc:
+        expected = exc
+    fast = data._loadtxt_rows(path, 1, 1)
+    assert (fast is not None) == fast_kept
+    if fast is not None:
+        assert isinstance(expected, np.ndarray)
+        assert fast.shape == expected.shape and fast.tobytes() == expected.tobytes()
+    try:
+        got = load_csv(path).rows
+    except (MalformedCsv, UnicodeDecodeError) as exc:
+        assert (type(exc), str(exc)) == (type(expected), str(expected))
+    else:
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("extra", [None, -1, 0, 1])
+def test_csv_writer_chunks_give_the_whole_text(tmp_path, extra):
+    n = 0 if extra is None else data._WRITE_CHUNK + extra
+    rows = [[float(v), i, i % 2 == 0] for i, v in enumerate(rng_stream(n, "rows").standard_normal(n))]
+    path = tmp_path / "rows.csv"
+    data._write_csv(path, ["x", "i", "even"], rows)
+    lines = ["x,i,even"] + [f"{v!r},{i},{'true' if even else 'false'}" for v, i, even in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_split_all_into_train():
