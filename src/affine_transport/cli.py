@@ -350,8 +350,7 @@ def cmd_synth(args) -> int:
     generate = gen_puck if source_spec.kind == "puck" else gen_linear
     src = generate(source_spec, actions, args.seed)
     tgt = generate(target_spec, actions, args.seed)
-    save_dataset(src, out / "source.csv")
-    save_dataset(tgt, out / "target.csv")
+    save_dataset(src, out / "source.csv", paired=(tgt, out / "target.csv"))
     log.info("wrote %s and %s", out / "source.csv", out / "target.csv")
     print(
         f"synth: kind={source_spec.kind} n={n} state_dim={src.state_dim} "

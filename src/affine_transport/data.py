@@ -10,6 +10,7 @@ domains can share states and actions while keeping noise independent.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -263,6 +264,7 @@ def gen_linear(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionDa
         if spec.noise_std > 0.0:
             nxt = nxt + spec.noise_std * rng_stream(seed, "noise", spec.label).standard_normal((n, d))
     rows = np.hstack([states, a, nxt])
+    rows.setflags(write=False)  # handed over: TransitionDataset keeps it uncopied
     return TransitionDataset(d, k, rows, spec.label, seed)
 
 
@@ -296,6 +298,7 @@ def gen_puck(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionData
         if spec.noise_std > 0.0:
             final = final + spec.noise_std * rng_stream(seed, "noise", spec.label).standard_normal((n, 2))
     rows = np.hstack([np.zeros((n, 2)), v, final])
+    rows.setflags(write=False)
     return TransitionDataset(2, 2, rows, spec.label, seed)
 
 
@@ -378,22 +381,48 @@ def manifest_path_for(csv_path) -> Path:
     return Path(csv_path).with_suffix(".manifest.json")
 
 
-def save_dataset(ds: TransitionDataset, csv_path) -> Path:
+def save_dataset(ds: TransitionDataset, csv_path, paired=None) -> Path:
     """Write a dataset CSV plus its manifest; returns the manifest path.
 
-    Rewriting the same dataset is byte identical.
+    ``paired`` is an optional ``(dataset, csv_path)`` pair for ``ds``, written
+    in the same pass with its own manifest. Where the two sides hold bitwise
+    equal states and actions, those cells are formatted once for both files.
+    Rewriting the same dataset is byte identical, alone or paired.
     """
-    # tolist() per row: on the whole array it holds every cell as a Python float
-    _write_csv(csv_path, _header(ds.state_dim, ds.action_dim), (row.tolist() for row in ds.rows))
-    manifest = {
-        "state_dim": ds.state_dim,
-        "action_dim": ds.action_dim,
-        "domain_label": ds.domain_label,
-        "seed": ds.seed,
-    }
-    mp = manifest_path_for(csv_path)
-    _write_json(mp, manifest)
-    return mp
+    sides = [(ds, csv_path)]
+    if paired is not None:
+        check_paired(ds, paired[0])
+        sides.append(paired)
+    header = ",".join(_header(ds.state_dim, ds.action_dim)) + "\n"
+    shared = ds.state_dim + ds.action_dim
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                 for _, path in sides]
+        for f in files:
+            f.write(header)
+        for start in range(0, ds.n, _WRITE_CHUNK):
+            blocks = [side.rows[start : start + _WRITE_CHUNK] for side, _ in sides]
+            heads = [_float_lines(blocks[0][:, :shared])]
+            if paired is not None:
+                # bitwise, not ==: -0.0 == 0.0, but their reprs differ
+                same = np.array_equal(*(block[:, :shared].view(np.uint64) for block in blocks))
+                heads.append(heads[0] if same else _float_lines(blocks[1][:, :shared]))
+            for f, block, head in zip(files, blocks, heads):
+                tails = _float_lines(block[:, shared:])
+                f.write("".join([f"{h},{t}\n" for h, t in zip(head, tails)]))
+    for side, path in sides:
+        _write_json(manifest_path_for(path), {
+            "state_dim": side.state_dim,
+            "action_dim": side.action_dim,
+            "domain_label": side.domain_label,
+            "seed": side.seed,
+        })
+    return manifest_path_for(csv_path)
+
+
+def _float_lines(block: np.ndarray) -> list[str]:
+    """Each row of a float block as its cells' ``repr``s joined by commas."""
+    return [",".join(map(repr, row)) for row in block.tolist()]
 
 
 def _header(d: int, k: int) -> list[str]:
@@ -428,6 +457,7 @@ def load_csv(csv_path) -> TransitionDataset:
     rows = _loadtxt_rows(csv_path, d, k)
     if rows is None:
         rows = _per_cell_rows(csv_path, d, k)
+    rows.setflags(write=False)
     return TransitionDataset(d, k, rows, label, seed)
 
 
@@ -460,8 +490,9 @@ def _loadtxt_rows(csv_path: Path, d: int, k: int) -> np.ndarray | None:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, comments=None, ndmin=2,
-                              encoding="utf-8")
+            # max_rows: told the count, loadtxt allocates the rows once instead of growing them
+            rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, max_rows=lines, comments=None,
+                              ndmin=2, encoding="utf-8")
         except ValueError:  # UnicodeDecodeError included
             return None
     if caught or rows.shape != (lines, width) or not np.isfinite(rows).all():
@@ -521,8 +552,9 @@ def _per_cell_rows(csv_path: Path, d: int, k: int) -> np.ndarray:
 
 def subset(ds: TransitionDataset, indices) -> TransitionDataset:
     """Dataset restricted to the given row indices, in the given order."""
-    idx = np.asarray(indices, dtype=np.intp)
-    return dataclasses.replace(ds, rows=ds.rows[idx])
+    rows = ds.rows[np.asarray(indices, dtype=np.intp)]
+    rows.setflags(write=False)
+    return dataclasses.replace(ds, rows=rows)
 
 
 def split(ds: TransitionDataset, fractions, seed: int):
@@ -546,5 +578,5 @@ def dataset_fingerprint(ds: TransitionDataset) -> str:
     """Content hash of the dataset rows and dimensions."""
     h = hashlib.sha256()
     h.update(f"{ds.state_dim},{ds.action_dim},{ds.n};".encode("ascii"))
-    h.update(np.ascontiguousarray(ds.rows).tobytes())
+    h.update(ds.rows)  # read-only and C-contiguous: hashed in place, not copied
     return h.hexdigest()

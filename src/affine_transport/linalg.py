@@ -34,8 +34,14 @@ SINGULAR_RATIO = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-contiguous float64 array that nothing else can write.
+
+    An array that owns its data and is already read-only, as a builder hands
+    over a fresh one, is kept as it is. Any other array, a caller's writable
+    one or a view of one, is copied.
+    """
     out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
+    if out.base is not None or (out is a and a.flags.writeable):
         out = out.copy()
     out.setflags(write=False)
     return out

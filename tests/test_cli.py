@@ -54,6 +54,16 @@ def test_synth_missing_directory_is_io_error(tmp_path):
     assert run("synth", "--kind", "puck", "--n", 10, "--out", tmp_path / "nope") == 2
 
 
+def test_synth_target_directory_is_one_io_error(tmp_path, capsys):
+    out = tmp_path / "pair"
+    (out / "target.csv").mkdir(parents=True)
+    assert run("synth", "--kind", "puck", "--n", 10, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[IsADirectoryError]: ") and err.count("\n") == 1
+    # both files are opened before either is written, and no manifest is written
+    assert not list(out.glob("*.manifest.json"))
+
+
 def test_synth_bad_friction_is_config_error(tmp_path):
     out = tmp_path / "pair"
     out.mkdir()

@@ -12,6 +12,7 @@ from affine_transport import (
     MalformedCsv,
     MissingManifest,
     NonFinite,
+    PairingMismatch,
     TransitionDataset,
     dataset_fingerprint,
     gen_linear,
@@ -22,6 +23,7 @@ from affine_transport import (
     split,
     subset,
 )
+from helpers import linear_pair, puck_pair
 
 STOP_SLOW = 0.5096839959225282  # 1 / (2 * 0.1 * 9.81)
 STOP_FAST = 0.12742099898063205  # 1 / (2 * 0.4 * 9.81)
@@ -51,6 +53,23 @@ def test_dataset_blocks():
     np.testing.assert_array_equal(ds.actions, rows[:, 2:4])
     np.testing.assert_array_equal(ds.next_states, rows[:, 4:])
     assert ds.n == 2 and ds.width == 6
+
+
+def test_dataset_keeps_no_view_of_a_writable_caller_array():
+    rows = np.arange(12.0).reshape(2, 6).copy()  # owns its data, like a caller's fresh array
+    view = rows[:]
+    view.setflags(write=False)
+    from_rows = TransitionDataset(2, 2, rows)
+    from_view = TransitionDataset(2, 2, view)
+    rows[0, 0] = 99.0
+    assert from_rows.rows[0, 0] == 0.0 and from_view.rows[0, 0] == 0.0
+    assert not from_rows.rows.flags.writeable
+
+
+def test_dataset_keeps_a_read_only_array_it_is_handed():
+    rows = np.arange(12.0).reshape(2, 6).copy()  # reshape alone gives a view
+    rows.setflags(write=False)
+    assert TransitionDataset(2, 2, rows).rows is rows
 
 
 def test_dataset_rejects_bad_width():
@@ -244,6 +263,75 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _pair_cases():
+    chunk = data._WRITE_CHUNK
+    for n in (0, chunk - 1, chunk, chunk + 1):
+        yield f"linear-{n}", linear_pair(1, n, noise=0.1, target_scales=(2.0, 0.5, 1.3))
+        yield f"puck-{n}", puck_pair(2, n, noise=0.01)
+
+
+def _save_pair(tmp_path, source, target):
+    """The bytes of source and target written in one paired call and in two
+    single calls, each as (csv, manifest)."""
+    out = {}
+    for way in ("paired", "single"):
+        paths = [tmp_path / way / f"{side}.csv" for side in ("source", "target")]
+        paths[0].parent.mkdir()
+        if way == "paired":
+            save_dataset(source, paths[0], paired=(target, paths[1]))
+        else:
+            save_dataset(source, paths[0])
+            save_dataset(target, paths[1])
+        out[way] = [(p.read_bytes(), data.manifest_path_for(p).read_bytes()) for p in paths]
+    return out
+
+
+@pytest.mark.parametrize("case", list(_pair_cases()), ids=lambda case: case[0])
+def test_paired_save_matches_two_single_saves(tmp_path, case):
+    _, (source, target) = case
+    out = _save_pair(tmp_path, source, target)
+    assert out["paired"] == out["single"]
+    for ds, (csv, _) in zip((source, target), out["single"]):
+        lines = [",".join(data._header(ds.state_dim, ds.action_dim))]
+        lines += [",".join(repr(float(v)) for v in row) for row in ds.rows]
+        assert csv == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("where", ["state", "action", "signed-zero"])
+def test_paired_save_formats_differing_shared_cells_per_side(tmp_path, where):
+    n = data._WRITE_CHUNK + 1
+    rows = rng_stream(3, "rows").standard_normal((n, 6))
+    rows[-1, 0] = 0.0
+    other = rows.copy()
+    # only the last chunk differs, so one chunk is shared and one is not
+    if where == "state":
+        other[-1, 1] += 1.0
+    elif where == "action":
+        other[-1, 3] *= 2.0
+    else:
+        other[-1, 0] = -0.0
+    out = _save_pair(
+        tmp_path, TransitionDataset(2, 2, rows, "source"), TransitionDataset(2, 2, other, "target")
+    )
+    assert out["paired"] == out["single"]
+    assert out["paired"][0][0] != out["paired"][1][0]
+
+
+@pytest.mark.parametrize(
+    "other, error",
+    [
+        (TransitionDataset(1, 4, np.zeros((3, 6))), DimensionMismatch),
+        (TransitionDataset(2, 2, np.zeros((4, 6))), PairingMismatch),
+    ],
+    ids=["dims", "rows"],
+)
+def test_paired_save_rejects_unpaired_datasets(tmp_path, other, error):
+    source = TransitionDataset(2, 2, np.zeros((3, 6)))
+    with pytest.raises(error):
+        save_dataset(source, tmp_path / "source.csv", paired=(other, tmp_path / "target.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_requires_manifest(tmp_path):
     path = tmp_path / "orphan.csv"
     path.write_text("s0,a0,ns0\n0.0,0.0,0.0\n")
@@ -407,3 +495,11 @@ def test_fingerprint_tracks_content_only():
     c = TransitionDataset(2, 2, rows + 1.0, "one", 1)
     assert dataset_fingerprint(a) == dataset_fingerprint(b)
     assert dataset_fingerprint(a) != dataset_fingerprint(c)
+
+
+def test_fingerprint_digest_is_pinned():
+    # a model's source_hash and target_hash are this digest; it must not drift
+    rows = np.arange(12.0).reshape(2, 6) / 4 - 1
+    digest = "261ca4e35f3f7bf62317b9a0427a98436f354f7fc2144409c78c8d96a47ccb2d"
+    assert dataset_fingerprint(TransitionDataset(2, 2, rows)) == digest
+    assert dataset_fingerprint(TransitionDataset(2, 2, np.asfortranarray(rows))) == digest

@@ -10,11 +10,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affine_transport import fit, load_csv, save_dataset
+from affine_transport import dataset_fingerprint, fit, load_csv, save_dataset
 from helpers import linear_pair
 
 N = 20_000
 MAX_ROWS_MULTIPLE = 3.0
+# reading keeps the parsed array itself, so only loadtxt's working memory and
+# the finite check's mask come on top of it
+MAX_LOAD_ROWS_MULTIPLE = 1.2
+# the fingerprint hashes the rows in place
+MAX_FINGERPRINT_ROWS_MULTIPLE = 0.1
 
 
 @pytest.fixture(scope="module")
@@ -34,15 +39,25 @@ def _peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("step", ["load_csv", "save_dataset", "fit"])
+@pytest.mark.parametrize("step", ["load_csv", "save_dataset", "save_pair", "fit"])
 def test_peak_memory_is_a_small_multiple_of_the_rows(saved_pair, tmp_path, step):
     source, target, path = saved_pair
     calls = {
         "load_csv": (load_csv, path),
         "save_dataset": (save_dataset, source, tmp_path / "copy.csv"),
+        "save_pair": (save_dataset, source, tmp_path / "copy.csv", (target, tmp_path / "other.csv")),
         "fit": (fit, source, target),
     }
+    bound = MAX_LOAD_ROWS_MULTIPLE if step == "load_csv" else MAX_ROWS_MULTIPLE
     peak = _peak_bytes(*calls[step])
-    assert peak <= MAX_ROWS_MULTIPLE * source.rows.nbytes, (
+    assert peak <= bound * source.rows.nbytes, (
         f"{step} peaked at {peak / source.rows.nbytes:.2f}x the rows' {source.rows.nbytes} bytes"
+    )
+
+
+def test_fingerprint_copies_no_rows(saved_pair):
+    source, _, _ = saved_pair
+    peak = _peak_bytes(dataset_fingerprint, source)
+    assert peak <= MAX_FINGERPRINT_ROWS_MULTIPLE * source.rows.nbytes, (
+        f"dataset_fingerprint peaked at {peak} bytes for {source.rows.nbytes} bytes of rows"
     )
