@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import numbers
@@ -46,12 +45,11 @@ __all__ = [
     "split",
     "subset",
     "dataset_fingerprint",
-    "manifest_path_for",
 ]
 
 GRAVITY = 9.81
 
-# rows formatted per write by _write_csv
+# rows formatted per write by save_dataset
 _WRITE_CHUNK = 4096
 # bytes per read when _loadtxt_rows counts lines; 1 MiB reads raised the peak
 # RSS of a process that went on to solve an n=4096 assignment by about 1 MB
@@ -364,16 +362,9 @@ def _cell(value) -> str:
 
 def _write_csv(path, header, rows) -> None:
     """Write a header line and one line per row of cells, joined by commas:
-    floats as ``repr``, booleans as ``true``/``false``, UTF-8, LF endings.
-
-    Rows are formatted and written ``_WRITE_CHUNK`` at a time, so the text
-    held in memory does not grow with the file.
-    """
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(rows, _WRITE_CHUNK)):
-            f.write("".join([",".join(map(_cell, row)) + "\n" for row in chunk]))
+    floats as ``repr``, booleans as ``true``/``false``, UTF-8, LF endings."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def manifest_path_for(csv_path) -> Path:
@@ -449,6 +440,8 @@ def load_csv(csv_path) -> TransitionDataset:
     dims = f"manifest {mp} must carry integer state_dim and action_dim"
     d = _json_int(manifest.get("state_dim"), MalformedCsv, dims)
     k = _json_int(manifest.get("action_dim"), MalformedCsv, dims)
+    if d < 1 or k < 1:
+        raise MalformedCsv(f"manifest {mp} needs state_dim and action_dim >= 1, got {d} and {k}")
     label = str(manifest.get("domain_label", "domain"))
     seed = manifest.get("seed")
     if seed is not None:

@@ -5,6 +5,24 @@ catch the whole family with one clause. The command line front end maps these
 onto its exit codes.
 """
 
+__all__ = [
+    "AffineTransportError",
+    "NotSymmetric",
+    "IndefiniteMatrix",
+    "SingularMatrix",
+    "NonFinite",
+    "TooFewSamples",
+    "DimensionMismatch",
+    "DegenerateInput",
+    "TooLarge",
+    "PairingMismatch",
+    "MalformedModel",
+    "MalformedCsv",
+    "MissingManifest",
+    "BadSpec",
+    "BadFraction",
+]
+
 
 class AffineTransportError(Exception):
     """Base class for all errors raised by this package."""

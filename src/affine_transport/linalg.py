@@ -20,11 +20,7 @@ from .errors import (
     SingularMatrix,
 )
 
-__all__ = [
-    "sample_matrix",
-    "sample_pair",
-    "spd_sqrt",
-]
+__all__ = ["spd_sqrt"]
 
 # relative tolerances for symmetry, indefiniteness, and rank checks
 SYMMETRY_TOL = 1e-10

@@ -241,27 +241,47 @@ def test_oversized_manifest_dims_give_a_short_error(tmp_path, capsys):
     assert len(err.encode("utf-8")) < 1024
 
 
-def _constant_target_pair(tmp_path):
+@pytest.mark.parametrize("d, k", [(3, 0), (0, 2), (-1, 3)],
+                         ids=["action_dim=0", "state_dim=0", "state_dim=-1"])
+def test_non_positive_manifest_dims_are_malformed_csv(tmp_path, capsys, d, k):
+    out = synth_linear(tmp_path, "pair", n=20)
+    # a CSV whose header is the one those dimensions imply
+    header = ([f"s{i}" for i in range(d)] + [f"a{i}" for i in range(k)]
+              + [f"ns{i}" for i in range(d)])
+    row = ",".join(["0.5"] * len(header))
+    (out / "source.csv").write_text("\n".join([",".join(header)] + [row] * 20) + "\n")
+    (out / "source.manifest.json").write_text(json.dumps({"state_dim": d, "action_dim": k}))
+    capsys.readouterr()
+    assert run("score", "--source", out / "source.csv", "--target", out / "target.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[MalformedCsv]: ") and err.count("\n") == 1
+    assert "source.manifest.json" in err
+
+
+def _constant_target_pairs(tmp_path):
+    """One source with each of two constant targets: 1.0, and 0.1, whose
+    computed mean is not exactly 0.1."""
     rng = np.random.default_rng(4)
-    source = tmp_path / "source.csv"
-    target = tmp_path / "target.csv"
-    save_dataset(TransitionDataset(1, 1, rng.standard_normal((10, 3))), source)
-    save_dataset(TransitionDataset(1, 1, np.ones((10, 3))), target)
-    return source, target
+    for value in (1.0, 0.1):
+        out = tmp_path / repr(value)
+        out.mkdir()
+        save_dataset(TransitionDataset(1, 1, rng.standard_normal((10, 3))), out / "source.csv")
+        save_dataset(TransitionDataset(1, 1, np.full((10, 3), value)), out / "target.csv")
+        yield out / "source.csv", out / "target.csv"
 
 
 def test_failing_fit_writes_no_model(tmp_path, capsys):
-    source, target = _constant_target_pair(tmp_path)
-    model_path = tmp_path / "model.json"
-    assert run("fit", "--source", source, "--target", target, "--out", model_path) == 5
-    assert capsys.readouterr().err.startswith("error[DegenerateInput]: ")
-    assert not model_path.exists()
+    for source, target in _constant_target_pairs(tmp_path):
+        model_path = tmp_path / "model.json"
+        assert run("fit", "--source", source, "--target", target, "--out", model_path) == 5
+        assert capsys.readouterr().err.startswith("error[DegenerateInput]: ")
+        assert not model_path.exists()
 
 
 def test_score_constant_target_is_degenerate_input(tmp_path, capsys):
-    source, target = _constant_target_pair(tmp_path)
-    assert run("score", "--source", source, "--target", target) == 5
-    assert capsys.readouterr().err.startswith("error[DegenerateInput]: ")
+    for source, target in _constant_target_pairs(tmp_path):
+        assert run("score", "--source", source, "--target", target) == 5
+        assert capsys.readouterr().err.startswith("error[DegenerateInput]: ")
 
 
 def test_eval_writes_json_report(tmp_path):

@@ -185,8 +185,9 @@ def test_affinity_high_for_affine_pair():
 
 
 def test_affinity_rejects_constant_target():
-    with pytest.raises(DegenerateInput):
-        affinity_score(np.zeros((10, 2)), np.ones((10, 2)))
+    for target in (np.ones((10, 2)), np.full((10, 2), 0.1)):
+        with pytest.raises(DegenerateInput):
+            affinity_score(np.zeros((10, 2)), target)
     with pytest.raises(PairingMismatch):
         affinity_score(np.zeros((10, 2)), np.zeros((9, 2)))
 
