@@ -13,10 +13,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import numbers
-import warnings
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,12 +52,12 @@ GRAVITY = 9.81
 
 # rows formatted per write by save_dataset
 _WRITE_CHUNK = 4096
-# bytes per read when _loadtxt_rows counts lines; 1 MiB reads raised the peak
-# RSS of a process that went on to solve an n=4096 assignment by about 1 MB
+# bytes per read of load_csv: of text when it counts lines, of parsed rows when
+# it parses them; 1 MiB reads raised the peak RSS of a process that went on to
+# solve an n=4096 assignment by about 1 MB
 _READ_CHUNK = 1 << 16
-# loadtxt ends a line at "\r", which the LF count of _loadtxt_rows misses, and
-# strips \x1c-\x1f around a cell where float() rejects them
-_LOADTXT_UNSAFE = (b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# where loadtxt's message places a fault, counted from its own first row
+_LOADTXT_AT = re.compile(r" at row \d+|; use `usecols`.*")
 
 
 def rng_stream(seed: int, *tags) -> np.random.Generator:
@@ -102,7 +103,8 @@ class TransitionDataset:
                 f"rows have width {rows.shape[1]}, expected "
                 f"2*{self.state_dim}+{self.action_dim}={self.width}"
             )
-        if not np.all(np.isfinite(rows)):
+        # min and max carry any NaN or infinity through, and build no mask of the rows
+        if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
             raise NonFinite("dataset rows contain NaN or infinite entries")
         object.__setattr__(self, "rows", _readonly(rows))
 
@@ -427,10 +429,9 @@ def _header(d: int, k: int) -> list[str]:
 def load_csv(csv_path) -> TransitionDataset:
     """Load a dataset CSV and its manifest, ``<stem>.manifest.json`` next to it.
 
-    The manifest must exist. Cells are read as ``float()`` reads them. Cell
-    errors are reported with their 1-based data row index; NaN and infinite
-    cells and blank lines are rejected. A well-formed file is parsed without
-    holding its text in memory.
+    The manifest must exist. Cells are read as ``np.loadtxt`` reads them.
+    Faults are reported with their 1-based data row index; NaN and infinite
+    cells and blank lines are rejected. No file is held in memory as text.
     """
     csv_path = Path(csv_path)
     mp = manifest_path_for(csv_path)
@@ -447,99 +448,75 @@ def load_csv(csv_path) -> TransitionDataset:
     if seed is not None:
         seed = _json_int(seed, MalformedCsv, f"manifest {mp} seed must be an integer, got {seed!r}")
 
-    rows = _loadtxt_rows(csv_path, d, k)
-    if rows is None:
-        rows = _per_cell_rows(csv_path, d, k)
+    rows = _read_rows(csv_path, d, k)
     rows.setflags(write=False)
     return TransitionDataset(d, k, rows, label, seed)
 
 
-def _loadtxt_rows(csv_path: Path, d: int, k: int) -> np.ndarray | None:
-    """The data rows of a dataset CSV read by ``np.loadtxt``, or None where
-    they could differ from what ``_per_cell_rows`` returns or raises.
+def _read_rows(csv_path: Path, d: int, k: int) -> np.ndarray:
+    """The data rows of a dataset CSV, read by ``np.loadtxt`` a chunk of lines
+    at a time from one open handle into one preallocated array.
 
-    loadtxt holds no line or cell as a Python object, but it skips blank
-    lines, rejects some cells ``float()`` reads (``1_0``, non-ASCII digits)
-    and reads some that ``float()`` rejects. So its rows are kept only when
-    the header is exactly the expected one, the file ends with LF and holds
-    no byte of ``_LOADTXT_UNSAFE``, and loadtxt neither raised nor warned
-    and gave one finite row per line. Every other file, a faulty one
-    included, is left to ``_per_cell_rows``, which raises its error.
+    The header must be exactly the expected one. Any other fault (a cell
+    loadtxt cannot read, a row of the wrong width, a blank line, a NaN or
+    infinite cell, a byte that is not UTF-8) raises one MalformedCsv naming
+    the file and the fault's 1-based data row.
     """
     width = 2 * d + k
     with open(csv_path, "rb") as f:
         header = f.readline()
+        if not header:
+            raise MalformedCsv(f"{csv_path} is empty")
         # count first: the header the manifest implies can be far larger than the file
-        if header.count(b",") + 1 != width or header != ",".join(_header(d, k)).encode() + b"\n":
-            return None
-        lines, last = 0, b"\n"
-        while chunk := f.read(_READ_CHUNK):
-            if any(byte in chunk for byte in _LOADTXT_UNSAFE):
-                return None
-            lines += chunk.count(b"\n")
-            last = chunk[-1:]
-    if last != b"\n":
-        return None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            # max_rows: told the count, loadtxt allocates the rows once instead of growing them
-            rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, max_rows=lines, comments=None,
-                              ndmin=2, encoding="utf-8")
-        except ValueError:  # UnicodeDecodeError included
-            return None
-    if caught or rows.shape != (lines, width) or not np.isfinite(rows).all():
-        return None
-    return rows
-
-
-def _per_cell_rows(csv_path: Path, d: int, k: int) -> np.ndarray:
-    """The data rows of a dataset CSV, every cell read by ``float()``.
-
-    Checks the header, then every row and cell in file order; the first
-    fault raises MalformedCsv, naming its 1-based data row if it has one.
-    """
-    text = csv_path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise MalformedCsv(f"{csv_path} is empty")
-    # the column count is checked first: the header the manifest implies can
-    # be far larger than the file
-    width = 2 * d + k
-    got = lines[0].split(",")
-    if len(got) != width:
-        raise MalformedCsv(
-            f"{csv_path} header has {len(got)} columns, the manifest's "
-            f"state_dim={d} action_dim={k} needs {width}"
-        )
-    expected = _header(d, k)
-    if got != expected:
-        raise MalformedCsv(
-            f"{csv_path} header {lines[0]!r} does not match expected {','.join(expected)!r}"
-        )
-    rows = np.empty((len(lines) - 1, width))
-    for i, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != width:
+        columns = header.count(b",") + 1
+        if columns != width:
             raise MalformedCsv(
-                f"{csv_path} data row {i} has {len(cells)} columns, expected {width}"
+                f"{csv_path} header has {columns} columns, the manifest's "
+                f"state_dim={d} action_dim={k} needs {width}"
             )
-        for j, cell in enumerate(cells):
+        names = _header(d, k)
+        header = header.removesuffix(b"\n").decode("utf-8", "replace")
+        if header != ",".join(names):
+            raise MalformedCsv(
+                f"{csv_path} header {header!r} does not match expected {','.join(names)!r}"
+            )
+        body = f.tell()
+        lines, last = 0, b"\n"
+        while block := f.read(_READ_CHUNK):
+            lines += block.count(b"\n")
+            last = block[-1:]
+        lines += last != b"\n"  # a last line without LF
+        rows = np.empty((lines, width))
+        f.seek(body)
+        # lines per loadtxt call: each chunk is held beside the preallocated
+        # rows until copied, so it is kept to _READ_CHUNK bytes
+        step = max(1, _READ_CHUNK // rows.itemsize // width)
+        # a first row of the right width: loadtxt then raises at any row of
+        # another width, and always finds data
+        template = [",".join(["0"] * width)]
+        for start in range(0, lines, step):
+            at, size = f.tell(), min(step, lines - start)
             try:
-                value = float(cell)
-            except ValueError:
+                chunk = np.loadtxt(itertools.chain(template, itertools.islice(f, size)),
+                                   delimiter=",", comments=None, ndmin=2, encoding="utf-8")[1:]
+            except ValueError as exc:  # UnicodeDecodeError included
+                # loadtxt takes a line at a time, so the last line it took is the faulty one
+                end = f.tell()
+                f.seek(at)
+                row = start + 1 + f.read(end - at - 1).count(b"\n")
+                raise MalformedCsv(f"{csv_path} data row {row}: {_LOADTXT_AT.sub('', str(exc))}")
+            if len(chunk) < size:  # loadtxt skips blank lines
+                f.seek(at)
+                row = next(i for i, line in enumerate(f, start + 1) if not line.rstrip(b"\r\n"))
+                raise MalformedCsv(f"{csv_path} data row {row} has 1 columns, expected {width}")
+            finite = np.isfinite(chunk)
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0]
                 raise MalformedCsv(
-                    f"{csv_path} data row {i}, column {expected[j]}: "
-                    f"cannot parse {cell!r} as a number"
+                    f"{csv_path} data row {start + i + 1}, column {names[j]}: "
+                    f"non-finite value {float(chunk[i, j])!r}"
                 )
-            if not math.isfinite(value):
-                raise MalformedCsv(
-                    f"{csv_path} data row {i}, column {expected[j]}: "
-                    f"non-finite value {cell!r}"
-                )
-            rows[i - 1, j] = value
+            rows[start : start + size] = chunk
     return rows
 
 

@@ -258,6 +258,30 @@ def test_non_positive_manifest_dims_are_malformed_csv(tmp_path, capsys, d, k):
     assert "source.manifest.json" in err
 
 
+# fit and eval read two dataset CSVs, so the line names the file and the row
+@pytest.mark.parametrize("command", ["fit", "eval", "score"])
+def test_non_utf8_dataset_csv_names_its_file(tmp_path, capsys, command):
+    out = synth_linear(tmp_path, "pair", n=20)
+    model = tmp_path / "model.json"
+    assert run("fit", "--source", out / "source.csv", "--target", out / "target.csv",
+               "--out", model) == 0
+    bad = out / "target.csv"
+    lines = bad.read_bytes().split(b"\n")
+    lines[3] = lines[3][:-1] + b"\xff"  # the last cell of data row 3
+    bad.write_bytes(b"\n".join(lines))
+    pair = ["--source", out / "source.csv", "--target", bad]
+    argv = {
+        "fit": ["fit", *pair, "--out", tmp_path / "again.json"],
+        "eval": ["eval", "--model", model, *pair, "--out", tmp_path / "report.json"],
+        "score": ["score", *pair],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error[MalformedCsv]: {bad} data row 3: 'utf-8' codec can't decode")
+
+
 def _constant_target_pairs(tmp_path):
     """One source with each of two constant targets: 1.0, and 0.1, whose
     computed mean is not exactly 0.1."""

@@ -365,10 +365,14 @@ def test_load_rejects_nan_cell(tmp_path):
         load_csv(path)
 
 
-# every cell goes through float(), so padding and digit underscores are read
+# padding around a number is read as float() reads it; digit underscores,
+# which float() also reads, are not
 def test_load_reads_cells_as_float_does(tmp_path):
-    path = _write_pair(tmp_path, " 1.5,1_0 ,\t-2\n")
+    path = _write_pair(tmp_path, " 1.5,10 ,\t-2\n")
     np.testing.assert_array_equal(load_csv(path).rows, [[1.5, 10.0, -2.0]])
+    path.write_text("s0,a0,ns0\n 1.5,1_0 ,\t-2\n")
+    with pytest.raises(MalformedCsv, match="data row 1: could not convert string '1_0 '"):
+        load_csv(path)
 
 
 def test_load_rejects_blank_line(tmp_path):
@@ -386,54 +390,119 @@ def test_load_rejects_wrong_header(tmp_path):
         load_csv(path)
 
 
-# (body after the LF header, whether np.loadtxt's rows are kept): every
-# other file is read cell by cell, as are cells loadtxt reads differently
+# body after the LF header -> its rows, or the message of its one MalformedCsv
+# after the file's path. The former reader, which read each cell with float(),
+# gave the same rows for every accepted body but "unit separator", which it rejected.
 LOADER_CASES = {
-    "plain": ("0.0,1.5,-2.0\n1e-300,2.5e-17,1e+16\n", True),
-    "single row": ("0.1,0.2,0.3\n", True),
-    "padded cells": (" 1.5 ,\t-2,3 \n", True),
-    "unicode spaces": ("\xa01,\u20002,3\u3000\n", True),
-    "underscore": ("1_0,0,0\n", False),
-    "underscore in exponent": ("1e5_0,0,0\n", False),
-    "arabic-indic digit": ("\u0661,0,0\n", False),
-    "fullwidth digit": ("\uff11,0,0\n", False),
-    "unit separator": ("1\x1f,0,0\n", False),
-    "crlf data lines": ("1,2,3\r\n4,5,6\r\n", False),
-    "lone cr": ("1,2,3\r4,5,6\n\n", False),
-    "infinity": ("infinity,0,0\n", False),
-    "negative nan": ("0,-nan,0\n", False),
-    "blank line mid-file": ("1,2,3\n\n4,5,6\n", False),
-    "header and blank line": ("\n", False),
-    "header only": ("", False),
-    "no trailing newline": ("1,2,3\n4,5,6", False),
-    "short row": ("1,2,3\n4,5\n", False),
-    "not utf-8": ("1,2,3\n", False),
+    "plain": ("0.0,1.5,-2.0\n1e-300,2.5e-17,1e+16\n", [[0.0, 1.5, -2.0], [1e-300, 2.5e-17, 1e16]]),
+    "single row": ("0.1,0.2,0.3\n", [[0.1, 0.2, 0.3]]),
+    "padded cells": (" 1.5 ,\t-2,3 \n", [[1.5, -2.0, 3.0]]),
+    "unicode spaces": ("\xa01,\u20002,3\u3000\n", [[1.0, 2.0, 3.0]]),
+    "underscore": ("1_0,0,0\n", "data row 1: could not convert string '1_0' to float64, column 1."),
+    "underscore in exponent": (
+        "1e5_0,0,0\n", "data row 1: could not convert string '1e5_0' to float64, column 1."
+    ),
+    "arabic-indic digit": (
+        "\u0661,0,0\n", "data row 1: could not convert string '\u0661' to float64, column 1."
+    ),
+    "fullwidth digit": (
+        "\uff11,0,0\n", "data row 1: could not convert string '\uff11' to float64, column 1."
+    ),
+    # loadtxt strips \x1c-\x1f around a cell as it strips Unicode spaces
+    "unit separator": ("1\x1f,0,0\n", [[1.0, 0.0, 0.0]]),
+    "crlf data lines": ("1,2,3\r\n4,5,6\r\n", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "lone cr": (
+        "1,2,3\r4,5,6\n\n",
+        "data row 1: Found an unquoted embedded newline within a single line of input.  "
+        "This is currently not supported.",
+    ),
+    "infinity": ("infinity,0,0\n", "data row 1, column s0: non-finite value inf"),
+    "negative nan": ("0,-nan,0\n", "data row 1, column a0: non-finite value nan"),
+    "blank line mid-file": ("1,2,3\n\n4,5,6\n", "data row 2 has 1 columns, expected 3"),
+    "header and blank line": ("\n", "data row 1 has 1 columns, expected 3"),
+    "header only": ("", np.empty((0, 3))),
+    "no trailing newline": ("1,2,3\n4,5,6", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "short row": ("1,2,3\n4,5\n", "data row 2: the number of columns changed from 3 to 2"),
+    "not utf-8": (
+        "1,2,3\n",
+        "data row 1: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LOADER_CASES))
 def test_loadtxt_rows_match_per_cell_rows(tmp_path, case):
-    body, fast_kept = LOADER_CASES[case]
+    body, expected = LOADER_CASES[case]
     raw = ("s0,a0,ns0\n" + body).encode("utf-8")
     if case == "not utf-8":
-        raw = raw[:-1] + b"\xff\n"  # loadtxt raises UnicodeDecodeError too
+        raw = raw[:-1] + b"\xff\n"
     path = _write_pair(tmp_path, "")
     path.write_bytes(raw)
-    try:
-        expected = data._per_cell_rows(path, 1, 1)
-    except (MalformedCsv, UnicodeDecodeError) as exc:
-        expected = exc
-    fast = data._loadtxt_rows(path, 1, 1)
-    assert (fast is not None) == fast_kept
-    if fast is not None:
-        assert isinstance(expected, np.ndarray)
-        assert fast.shape == expected.shape and fast.tobytes() == expected.tobytes()
-    try:
-        got = load_csv(path).rows
-    except (MalformedCsv, UnicodeDecodeError) as exc:
-        assert (type(exc), str(exc)) == (type(expected), str(expected))
+    if isinstance(expected, str):
+        with pytest.raises(MalformedCsv) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path} {expected}"
     else:
+        expected = np.asarray(expected, dtype=np.float64)
+        got = load_csv(path).rows
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+# one fault line -> the message after "<path> data row <i>"; loadtxt counts
+# rows from 0 in some messages and from 1 in others, and the reader parses
+# in chunks, so each fault goes in the first data row and in rows past the
+# first chunk, the last one included
+ROW_FAULTS = {
+    "bad cell": (b"1,zap,3", ": could not convert string 'zap' to float64, column 2."),
+    "short row": (b"1,2", ": the number of columns changed from 3 to 2"),
+    "long row": (b"1,2,3,4", ": the number of columns changed from 3 to 4"),
+    "blank line": (b"", " has 1 columns, expected 3"),
+    "whitespace-only line": (b" \t", ": the number of columns changed from 3 to 1"),
+    "non-finite cell": (b"1,nan,3", ", column a0: non-finite value nan"),
+    "lone cr": (
+        b"1,2,3\r4,5,6",
+        ": Found an unquoted embedded newline within a single line of input.  "
+        "This is currently not supported.",
+    ),
+    "non-utf-8 byte": (
+        b"1,2,\xff", ": 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+    ),
+}
+
+
+@pytest.mark.parametrize("row", [1, data._WRITE_CHUNK + 2, data._WRITE_CHUNK + 3])
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+def test_load_names_the_faulty_row(tmp_path, fault, row):
+    line, message = ROW_FAULTS[fault]
+    lines = [b"1,2,3"] * (data._WRITE_CHUNK + 3)
+    lines[row - 1] = line
+    path = _write_pair(tmp_path, "")
+    path.write_bytes(b"\n".join([b"s0,a0,ns0", *lines, b""]))
+    with pytest.raises(MalformedCsv) as caught:
+        load_csv(path)
+    assert str(caught.value) == f"{path} data row {row}{message}"
+
+
+def _round_trip_rows(n: int, width: int, seed: int) -> np.ndarray:
+    """Random rows with the extreme floats the writer can meet in every column."""
+    rows = rng_stream(seed, "round-trip").standard_normal((n, width))
+    extremes = [5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1e308, -1e308]
+    cells = min(rows.size, len(extremes) * width)  # each extreme lands in each column
+    rows.flat[:cells] = np.resize(extremes, cells)
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, data._WRITE_CHUNK - 1, data._WRITE_CHUNK, data._WRITE_CHUNK + 1])
+def test_saved_rows_read_back_bit_for_bit(tmp_path, n):
+    source = TransitionDataset(2, 2, _round_trip_rows(n, 6, 1), "source", 1)
+    target_rows = _round_trip_rows(n, 6, 2)
+    target_rows[:, :4] = source.rows[:, :4]  # shared states and actions are formatted once
+    target = TransitionDataset(2, 2, target_rows, "target", 1)
+    save_dataset(source, tmp_path / "single.csv")
+    save_dataset(source, tmp_path / "source.csv", paired=(target, tmp_path / "target.csv"))
+    for ds, name in [(source, "single"), (source, "source"), (target, "target")]:
+        back = load_csv(tmp_path / f"{name}.csv")
+        assert back.rows.shape == (n, 6) and back.rows.tobytes() == ds.rows.tobytes()
 
 
 @pytest.mark.parametrize("extra", [None, -1, 0, 1])

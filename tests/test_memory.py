@@ -15,8 +15,8 @@ from helpers import linear_pair
 
 N = 20_000
 MAX_ROWS_MULTIPLE = 3.0
-# reading keeps the parsed array itself, so only loadtxt's working memory and
-# the finite check's mask come on top of it
+# reading keeps the parsed array itself, so only the chunk loadtxt is parsing
+# and that chunk's finite mask come on top of it
 MAX_LOAD_ROWS_MULTIPLE = 1.2
 # the fingerprint hashes the rows in place
 MAX_FINGERPRINT_ROWS_MULTIPLE = 0.1
