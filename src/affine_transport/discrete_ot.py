@@ -8,8 +8,6 @@ over the squared-distance cost matrix.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import NonFinite, PairingMismatch, TooLarge
 from .linalg import sample_pair
@@ -21,6 +19,20 @@ __all__ = [
 ]
 
 MAX_EXACT = 4096
+
+
+# scipy is imported by the first solve, not with the package: most commands
+# never solve, and the import costs them more start-up than numpy itself
+def cdist(xa, xb, metric):
+    import scipy.spatial.distance
+
+    return scipy.spatial.distance.cdist(xa, xb, metric=metric)
+
+
+def linear_sum_assignment(cost):
+    import scipy.optimize
+
+    return scipy.optimize.linear_sum_assignment(cost)
 
 
 def empirical_w2(x: np.ndarray, y: np.ndarray) -> float:
