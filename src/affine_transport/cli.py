@@ -35,7 +35,7 @@ from .data import (
     rng_stream,
     save_dataset,
     split,
-    subset,
+    subset,  # not called here; kept bound for perfbench/tracing.py, which wraps cli.subset
 )
 from .errors import (
     AffineTransportError,
@@ -47,12 +47,15 @@ from .errors import (
     PairingMismatch,
 )
 from .gaussian_ot import at_map
-from .discrete_ot import MAX_EXACT
+from .discrete_ot import MAX_EXACT, pointwise_error
 from .transfer import (
+    _check_eval_inputs,
+    _check_maps,
+    _fit_moments,
+    _paired_moments,
     affinity_score,
     apply,
     evaluate,
-    evaluate_pointwise,
     fit,
     load_model,
     save_model,
@@ -61,6 +64,11 @@ from .transfer import (
 __all__ = ["LearningCurvePoint", "learning_curve", "main", "build_parser"]
 
 log = logging.getLogger("affine_transport.cli")
+
+# repeats of one fit size that one kernel call fits. It is the default
+# --repeats, so a default curve makes one call per size, and the curve's
+# working set stays one block's whatever --repeats is.
+_CURVE_BLOCK = 20
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -414,7 +422,10 @@ def learning_curve(
     """Held-out pointwise error of fits on seeded subsamples of a paired pool.
 
     For each size, ``repeats`` fits on rows drawn without replacement from
-    the pool are scored on the fixed holdout by their mean next-state error.
+    the pool are scored on the fixed holdout by their mean next-state error,
+    as ``evaluate_pointwise`` scores ``fit`` of the same rows, bit for bit.
+    Each repeat is reduced to its paired moments, and the moments of up to
+    ``_CURVE_BLOCK`` repeats are fitted by one call of the stacked kernel.
     Only the pointwise part of the evaluation runs, so no transport is solved
     and the holdout is not limited by the exact solver's cap.
     """
@@ -423,16 +434,35 @@ def learning_curve(
             raise BadSpec(
                 f"fit size {size} exceeds the {pool_s.n} rows available after holdout"
             )
+    check_paired(pool_s, pool_t)
+    _check_eval_inputs(pool_s.width, hold_s, hold_t)
+    w, sd = pool_s.width, pool_s.state_dim
+    block = max(1, min(repeats, _CURVE_BLOCK))
+    # one block's moments, filled in place for every block: allocating them
+    # per repeat, between each repeat's short-lived gathered rows, fragments
+    # the heap and raises the peak RSS
+    mean_s, mean_t = np.empty((block, w)), np.empty((block, w))
+    gram = np.empty((block, 2 * w, 2 * w))
     points = []
     for size in sizes:
         errors = np.empty(repeats)
-        for rep in range(repeats):
-            idx = np.sort(
-                rng_stream(seed, "curve", size, rep).choice(pool_s.n, size=size, replace=False)
-            )
-            model = fit(subset(pool_s, idx), subset(pool_t, idx))
-            _, error_after, _ = evaluate_pointwise(model, hold_s, hold_t)
-            errors[rep] = error_after[0]
+        for start in range(0, repeats, block):
+            reps = range(start, min(start + block, repeats))
+            for j, rep in enumerate(reps):
+                idx = np.sort(
+                    rng_stream(seed, "curve", size, rep).choice(pool_s.n, size=size, replace=False)
+                )
+                moments = _paired_moments(pool_s.rows[idx], pool_t.rows[idx])
+                _, mean_s[j], mean_t[j], gram[j] = moments
+            k = len(reps)
+            r, a, b = _fit_moments(size, mean_s[:k], mean_t[:k], gram[:k])
+            _check_maps(r, a)
+            # evaluate_pointwise's error_after of each map: apply() to the
+            # holdout, then pointwise_error of the next states. One map at a
+            # time, so the curve holds one transported copy of the holdout.
+            for rep, matrix, offset in zip(reps, a @ r, b):
+                transported = hold_s.rows @ matrix.T + offset
+                errors[rep] = pointwise_error(transported[:, -sd:], hold_t.next_states)[0]
         points.append(LearningCurvePoint(size, float(errors.mean()), float(errors.std()), repeats))
     return points
 

@@ -88,7 +88,7 @@ def estimate_moments(samples: np.ndarray) -> GaussianModel:
         If fewer than two rows are given.
     """
     x = sample_matrix(samples, "samples")
-    n, d = x.shape
+    n = x.shape[0]
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples to estimate moments, got {n}")
     # finite samples can still overflow the covariance; _root rejects the
@@ -96,10 +96,17 @@ def estimate_moments(samples: np.ndarray) -> GaussianModel:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
         dev = x - mean
-        cov = dev.T @ dev / n
-        cov = (cov + cov.T) / 2.0
-        ridge = max(RIDGE_FLOOR, RIDGE_SCALE * float(np.trace(cov)) / d)
-        return GaussianModel(mean, cov + ridge * np.eye(d))
+        return GaussianModel(mean, _ridged(dev.T @ dev / n))
+
+
+def _ridged(cov: np.ndarray) -> np.ndarray:
+    """A covariance or a stack (..., d, d) of them, symmetrized, plus
+    ``max(1e-10, 1e-9 * tr / d)`` on each diagonal: the ridge
+    ``estimate_moments`` documents."""
+    d = cov.shape[-1]
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    ridge = np.maximum(RIDGE_FLOOR, RIDGE_SCALE * np.trace(cov, axis1=-2, axis2=-1) / d)
+    return cov + np.asarray(ridge)[..., None, None] * np.eye(d)
 
 
 @dataclass(frozen=True)
@@ -175,16 +182,22 @@ def gaussian_ot_map(p: GaussianModel, q: GaussianModel) -> AffineMap:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"models have dimensions {p.dim} and {q.dim}")
-    s2 = _root(q.covariance, "target covariance", require_invertible=True)
-    s1 = _root(p.covariance, "source covariance", require_invertible=True)
+    a, b = _ot_affine(p.mean[None], p.covariance[None], q.mean[None], q.covariance[None])
+    return AffineMap(a[0], b[0])
+
+
+def _ot_affine(mean1, sigma1, mean2, sigma2):
+    """``(A, b)`` of ``gaussian_ot_map`` for stacks: means (..., d) and
+    covariances (..., d, d) of the source and target Gaussians."""
+    s2 = _root(sigma2, "target covariance", require_invertible=True)
+    s1 = _root(sigma1, "source covariance", require_invertible=True)
     # S2 S1 S1 S2 = (S2 S1)(S2 S1)^T, so with S2 S1 = U diag(sig) V^T the
     # middle factor of A is U diag(1/sig) U^T
     u, sig, _ = np.linalg.svd(s2 @ s1)
     half = s2 @ u
-    a = (half / sig) @ half.T
-    a = (a + a.T) / 2.0
-    b = q.mean - a @ p.mean
-    return AffineMap(a, b)
+    a = (half / sig[..., None, :]) @ np.swapaxes(half, -1, -2)
+    a = (a + np.swapaxes(a, -1, -2)) / 2.0
+    return a, mean2 - (a @ mean1[..., None])[..., 0]
 
 
 def at_map(source: np.ndarray, target: np.ndarray) -> AffineMap:

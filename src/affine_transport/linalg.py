@@ -76,25 +76,44 @@ def sample_pair(x, y, names: tuple[str, str] = ("x", "y")) -> tuple[np.ndarray, 
     return xs, ys
 
 
+def _first(bad, *values) -> tuple[float, ...] | None:
+    """The entries of ``values`` where ``bad`` is first True, or None if it
+    never is. ``bad`` and ``values`` share one shape, a stack's or ()."""
+    if not np.any(bad):
+        return None
+    i = np.argmax(bad)
+    return tuple(float(np.ravel(v)[i]) for v in values)
+
+
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
-    """Raise NotSymmetric unless max|M - M^T| <= tol * (1 + max|M|)."""
-    asym = float(np.abs(m - m.T).max()) if m.size else 0.0
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if asym > SYMMETRY_TOL * (1.0 + scale):
-        raise NotSymmetric(f"{name} is not symmetric: max asymmetry {asym:.3e}")
+    """Raise NotSymmetric unless max|M - M^T| <= tol * (1 + max|M|).
+
+    ``m`` is one matrix or a stack (..., d, d); the first matrix of the stack
+    that fails is the one reported, with the message it raises on its own.
+    """
+    if not m.size:
+        return
+    asym = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1))
+    scale = np.abs(m).max(axis=(-2, -1))
+    bad = _first(asym > SYMMETRY_TOL * (1.0 + scale), asym)
+    if bad:
+        raise NotSymmetric(f"{name} is not symmetric: max asymmetry {bad[0]:.3e}")
 
 
 def _checked_eigh(m, name: str):
+    """Eigenvalues, eigenvectors and max(lambda_max, 0) of a symmetric PSD
+    matrix or of each matrix in a stack (..., d, d)."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NotSymmetric(f"{name} must be a square matrix, got shape {m.shape}")
     _require_finite(m, name)
     check_symmetric(m, name)
     w, v = np.linalg.eigh(m)
-    scale = max(float(w[-1]), 0.0)
-    if float(w[0]) < -INDEFINITE_TOL * scale:
+    scale = np.maximum(w[..., -1], 0.0)
+    bad = _first(w[..., 0] < -INDEFINITE_TOL * scale, w[..., 0], scale)
+    if bad:
         raise IndefiniteMatrix(
-            f"{name} has eigenvalue {w[0]:.3e} below -{INDEFINITE_TOL:g} * {scale:.3e}"
+            f"{name} has eigenvalue {bad[0]:.3e} below -{INDEFINITE_TOL:g} * {bad[1]:.3e}"
         )
     return w, v, scale
 
@@ -102,14 +121,15 @@ def _checked_eigh(m, name: str):
 def _root(m, name: str, *, require_invertible: bool) -> np.ndarray:
     w, v, scale = _checked_eigh(m, name)
     if require_invertible:
-        lo = max(float(w[0]), 0.0)
-        if scale <= 0.0 or lo < SINGULAR_RATIO * scale:
+        lo = np.maximum(w[..., 0], 0.0)
+        bad = _first((scale <= 0.0) | (lo < SINGULAR_RATIO * scale), lo, scale)
+        if bad:
             raise SingularMatrix(
-                f"{name} is numerically singular: eigenvalue ratio {lo:.3e} / {scale:.3e}"
+                f"{name} is numerically singular: eigenvalue ratio {bad[0]:.3e} / {bad[1]:.3e}"
             )
-    roots = np.sqrt(np.maximum(w, CLAMP_TOL * scale))
-    s = (v * roots) @ v.T
-    return (s + s.T) / 2.0
+    roots = np.sqrt(np.maximum(w, CLAMP_TOL * np.asarray(scale)[..., None]))
+    s = (v * roots[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 
 def spd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -122,11 +142,11 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     m : (d, d) array
-        Symmetric PSD matrix.
+        Symmetric PSD matrix, or a stack (..., d, d) of them.
 
     Returns
     -------
-    (d, d) array
+    array of the shape of ``m``
         Symmetric PSD square root S with S @ S close to ``m``.
 
     Raises
@@ -135,6 +155,8 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
         If ``m`` is not symmetric within tolerance.
     IndefiniteMatrix
         If an eigenvalue is below ``-1e-6 * lambda_max``.
+
+    In a stack, each check reports the first matrix that fails it.
     """
     return _root(m, "spd_sqrt input", require_invertible=False)
 

@@ -8,8 +8,12 @@ the target absorbs the remaining stretch and shift. The composed map is
 ``x -> A (R x) + b`` with R orthogonal and A symmetric PSD, which covers any
 invertible linear relation through its polar factorization.
 
-Both datasets are mean-centered before the Procrustes step; the means
-re-enter through the transport offset b.
+Both stages read only the pair's first and second moments: n, the two means
+and the centred Gram of the side-by-side rows ``[source | target]``. R is
+the polar factor of its cross block, and the transport is fitted between the
+rotated source moments and the target moments. ``fit`` accumulates the Gram
+over row chunks, and the moments-to-map kernel runs on a stack of pairs, so
+the learning curve fits all repeats of one size in one call.
 """
 
 from __future__ import annotations
@@ -30,8 +34,17 @@ from .data import (
 )
 from .discrete_ot import empirical_w2, pointwise_error
 from .errors import DegenerateInput, DimensionMismatch, MalformedModel, TooFewSamples
-from .gaussian_ot import AffineMap, at_map, estimate_moments, normal_approx_bound
-from .linalg import _readonly, _require_finite, sample_pair
+# at_map is not called here; it stays bound because perfbench/tracing.py
+# wraps transfer.at_map
+from .gaussian_ot import (
+    AffineMap,
+    _ot_affine,
+    _ridged,
+    at_map,
+    estimate_moments,
+    normal_approx_bound,
+)
+from .linalg import _first, _readonly, _require_finite, sample_pair
 
 __all__ = [
     "FitMeta",
@@ -52,6 +65,9 @@ MODEL_FORMAT_VERSION = 1
 _ORTHO_TOL = 1e-8
 _PSD_TOL = 1e-8
 
+# bytes of centred rows the paired Gram is accumulated from at a time
+_GRAM_CHUNK = 1 << 16
+
 
 def procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Orthogonal matrix R minimizing |R @ source - target| in Frobenius norm.
@@ -68,10 +84,77 @@ def procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
         )
     if a.ndim != 2:
         raise DimensionMismatch(f"expected (d, n) matrices, got shape {a.shape}")
-    m = b @ a.T
+    return _polar(b @ a.T)
+
+
+def _polar(m: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor U V^T of m = U diag(s) V^T, for one matrix or
+    a stack (..., d, d)."""
     _require_finite(m, "svd input")
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return u @ vh
+
+
+def _paired_moments(xs: np.ndarray, xt: np.ndarray):
+    """``(n, mean_s, mean_t, gram)`` of paired (n, w) row sets, where gram is
+    the (2w, 2w) sum of outer products of the centred rows ``[xs | xt]``.
+
+    The Gram is summed over chunks of at most ``_GRAM_CHUNK`` bytes, so no
+    centred copy of the rows is made. Raises TooFewSamples below 2 rows.
+    """
+    n, w = xs.shape
+    if n < 2:
+        raise TooFewSamples(f"need at least 2 paired rows to fit, got {n}")
+    step = max(1, _GRAM_CHUNK // (16 * w))
+    # finite rows can still overflow their moments; the kernel rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_s, mean_t = xs.mean(axis=0), xt.mean(axis=0)
+        gram = np.zeros((2 * w, 2 * w))
+        buf = np.empty((min(n, step), 2 * w))
+        for start in range(0, n, step):
+            z = buf[: min(step, n - start)]
+            np.subtract(xs[start : start + len(z)], mean_s, out=z[:, :w])
+            np.subtract(xt[start : start + len(z)], mean_t, out=z[:, w:])
+            gram += z.T @ z
+    return n, mean_s, mean_t, gram
+
+
+def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarray):
+    """``(R, A, b)`` of the transfer map for each pair in a stack of moments.
+
+    ``mean_s`` and ``mean_t`` are (..., w), ``gram`` is (..., 2w, 2w) as
+    ``_paired_moments`` returns them, all pairs of ``n`` rows. R is the polar
+    factor of the cross block; the rotated source moments R mu_s and
+    R Sigma_s R^T and the target moments are ridged as ``estimate_moments``
+    ridges them, and (A, b) is the Gaussian optimal map between them.
+    """
+    w = mean_s.shape[-1]
+    r = _polar(gram[..., w:, :w])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_s = _ridged(r @ (gram[..., :w, :w] / n) @ np.swapaxes(r, -1, -2))
+        sigma_t = _ridged(gram[..., w:, w:] / n)
+        mu_s = (r @ mean_s[..., None])[..., 0]
+    a, b = _ot_affine(mu_s, sigma_s, mean_t, sigma_t)
+    return r, a, b
+
+
+def _check_maps(r: np.ndarray, a: np.ndarray) -> None:
+    """Raise MalformedModel unless R is orthogonal and A symmetric PSD, for
+    one (R, A) pair or stacks (..., w, w) of them; the first failing pair of
+    a stack is the one reported."""
+    ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(r.shape[-1])).max(axis=(-2, -1))
+    bad = _first(ortho > _ORTHO_TOL, ortho)
+    if bad:
+        raise MalformedModel(f"rotation is not orthogonal: |R^T R - I| = {bad[0]:.3e}")
+    at = np.swapaxes(a, -1, -2)
+    asym = np.abs(a - at).max(axis=(-2, -1))
+    bad = _first(asym > _PSD_TOL * (1.0 + np.abs(a).max(axis=(-2, -1))), asym)
+    if bad:
+        raise MalformedModel(f"transport matrix is not symmetric: {bad[0]:.3e}")
+    w = np.linalg.eigvalsh((a + at) / 2.0)
+    bad = _first(w[..., 0] < -_PSD_TOL * np.maximum(w[..., -1], 0.0), w[..., 0])
+    if bad:
+        raise MalformedModel(f"transport matrix has negative eigenvalue {bad[0]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -115,19 +198,7 @@ class TransferModel:
             raise MalformedModel(
                 f"transport matrix has shape {self.at.matrix.shape}, expected ({width}, {width})"
             )
-        ortho = float(np.abs(r.T @ r - np.eye(width)).max())
-        if ortho > _ORTHO_TOL:
-            raise MalformedModel(f"rotation is not orthogonal: |R^T R - I| = {ortho:.3e}")
-        a = self.at.matrix
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        asym = float(np.abs(a - a.T).max()) if a.size else 0.0
-        if asym > _PSD_TOL * (1.0 + scale):
-            raise MalformedModel(f"transport matrix is not symmetric: {asym:.3e}")
-        w = np.linalg.eigvalsh((a + a.T) / 2.0)
-        if float(w[0]) < -_PSD_TOL * max(float(w[-1]), 0.0):
-            raise MalformedModel(
-                f"transport matrix has negative eigenvalue {w[0]:.3e}"
-            )
+        _check_maps(r, self.at.matrix)
         object.__setattr__(self, "rotation", r)
 
     @property
@@ -144,17 +215,16 @@ def fit(source: TransitionDataset, target: TransitionDataset) -> TransferModel:
     """Fit a transfer map from paired source and target transition datasets.
 
     Rows with the same index must come from the same (state, action) pair.
-    The Procrustes rotation is estimated on mean-centered rows, then affine
-    transport is fitted from the rotated source to the target.
+    The fit reads only the pair's moments (``_paired_moments``): the
+    Procrustes rotation R is the polar factor of the cross-covariance of the
+    centred rows, and affine transport is fitted from the rotated source
+    moments to the target moments.
     """
     check_paired(source, target)
-    if source.n < 2:
-        raise TooFewSamples(f"need at least 2 paired rows to fit, got {source.n}")
-    xs = source.rows
-    xt = target.rows
-    # the centred copies are freed before at_map makes its own
-    r = procrustes((xs - xs.mean(axis=0)).T, (xt - xt.mean(axis=0)).T)
-    at = at_map(xs @ r.T, xt)
+    n, mean_s, mean_t, gram = _paired_moments(source.rows, target.rows)
+    # a stack of one through the kernel the learning curve stacks
+    r, a, b = (m[0] for m in _fit_moments(n, mean_s[None], mean_t[None], gram[None]))
+    at = AffineMap(a, b)
     meta = FitMeta(
         n_fit=source.n,
         seed=source.seed,
@@ -222,6 +292,16 @@ class TransferReport:
     eval_on_fit_data: bool
 
 
+def _check_eval_inputs(dim: int, source: TransitionDataset, target: TransitionDataset) -> None:
+    """The checks ``evaluate_pointwise`` makes of a paired dataset before a
+    map of width ``dim`` is applied to it."""
+    if source.width != dim:
+        raise DimensionMismatch(f"datasets have width {source.width}, model expects {dim}")
+    check_paired(source, target)
+    if source.n < 2:
+        raise TooFewSamples(f"need at least 2 paired rows to evaluate, got {source.n}")
+
+
 def evaluate_pointwise(
     model: TransferModel, source: TransitionDataset, target: TransitionDataset
 ) -> tuple[tuple[float, float], tuple[float, float], np.ndarray]:
@@ -232,13 +312,7 @@ def evaluate_pointwise(
     of per-row next-state error of the source and of the transported source
     against the target, and the transported source rows.
     """
-    if source.width != model.dim:
-        raise DimensionMismatch(
-            f"datasets have width {source.width}, model expects {model.dim}"
-        )
-    check_paired(source, target)
-    if source.n < 2:
-        raise TooFewSamples(f"need at least 2 paired rows to evaluate, got {source.n}")
+    _check_eval_inputs(model.dim, source, target)
     transported = apply(model, source.rows)
     sd = model.state_dim
     before = pointwise_error(source.next_states, target.next_states)

@@ -9,8 +9,10 @@ from affine_transport import (
     GaussianModel,
     TooLarge,
     TransitionDataset,
+    at_map,
     gen_linear,
     gen_puck,
+    procrustes,
     rng_stream,
 )
 
@@ -36,6 +38,17 @@ def brute_force_w2(x, y):
             total += float(diff @ diff)
         best = min(best, total)
     return float(np.sqrt(best / n))
+
+
+def sample_fit(xs, xt):
+    """``(R, A, b)`` of a transfer fit computed from the rows themselves:
+    ``procrustes`` on the centred rows, then ``at_map`` from the rotated
+    source rows to the target rows; an oracle for ``fit``, which reads only
+    the pair's moments."""
+    xs, xt = (np.asarray(a, dtype=np.float64) for a in (xs, xt))
+    r = procrustes((xs - xs.mean(axis=0)).T, (xt - xt.mean(axis=0)).T)
+    at = at_map(xs @ r.T, xt)
+    return r, at.matrix, at.offset
 
 
 def spd_inv_sqrt(m):

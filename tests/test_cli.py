@@ -5,7 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from affine_transport import TransitionDataset, load_csv, load_model, save_dataset, split
+from affine_transport import (
+    TooFewSamples,
+    TransitionDataset,
+    evaluate_pointwise,
+    fit,
+    load_csv,
+    load_model,
+    rng_stream,
+    save_dataset,
+    split,
+    subset,
+)
 from affine_transport.cli import main
 
 
@@ -387,6 +398,47 @@ def test_learning_curve_single_point_matches_eval(tmp_path):
     report = json.loads(report_path.read_text())
     assert point["mean_error"] == report["error_after_mean"]
     assert point["std_error"] == 0.0
+
+
+def test_learning_curve_matches_single_fits_bit_for_bit(tmp_path):
+    out = tmp_path / "pair"
+    out.mkdir()
+    assert run("synth", "--kind", "puck", "--n", 400, "--seed", 6, "--noise", "0.01",
+               "--target-curl", "0.3", "--out", out) == 0
+    curve_path = tmp_path / "curve.json"
+    assert run("learning-curve", "--source", out / "source.csv", "--target", out / "target.csv",
+               "--sizes", "8,128", "--repeats", "1", "--seed", 6, "--out", curve_path) == 0
+    points = json.loads(curve_path.read_text())
+
+    src, tgt = load_csv(out / "source.csv"), load_csv(out / "target.csv")
+    pool_s, hold_s = split(src, (0.75, 0.25), 6)
+    pool_t, hold_t = split(tgt, (0.75, 0.25), 6)
+    assert pool_s.n == 300
+    for point, size in zip(points, (8, 128)):
+        idx = np.sort(rng_stream(6, "curve", size, 0).choice(pool_s.n, size=size, replace=False))
+        model = fit(subset(pool_s, idx), subset(pool_t, idx))
+        _, error_after, _ = evaluate_pointwise(model, hold_s, hold_t)
+        assert point["n_fit"] == size
+        assert point["mean_error"] == error_after[0]
+
+
+def test_learning_curve_fits_each_size_in_one_kernel_call(monkeypatch):
+    from affine_transport import cli
+    from helpers import puck_pair
+
+    src, tgt = puck_pair(4, 400, noise=0.01)
+    pool_s, hold_s = split(src, (0.75, 0.25), 4)
+    pool_t, hold_t = split(tgt, (0.75, 0.25), 4)
+    calls = []
+    kernel = cli._fit_moments
+    monkeypatch.setattr(cli, "_fit_moments", lambda *args: calls.append(args) or kernel(*args))
+    points = cli.learning_curve(pool_s, pool_t, hold_s, hold_t, [8, 32, 128], 20, 4)
+    assert [p.n_fit for p in points] == [8, 32, 128]
+    # one stack of all 20 repeats per size
+    assert [(args[0], args[3].shape[0]) for args in calls] == [(8, 20), (32, 20), (128, 20)]
+
+    with pytest.raises(TooFewSamples):
+        cli.learning_curve(pool_s, pool_t, hold_s, hold_t, [1], 20, 4)
 
 
 def test_learning_curve_rejects_zero_repeats(tmp_path):

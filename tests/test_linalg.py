@@ -53,6 +53,38 @@ def test_sqrt_rejects_indefinite():
         spd_sqrt(np.diag([1.0, -0.1]))
 
 
+def _message(call, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        call(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "bad, require_invertible",
+    [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), False),
+        (np.diag([1.0, -0.1]), False),
+        (np.diag([1.0, 0.0]), True),
+    ],
+    ids=["asymmetric", "indefinite", "singular"],
+)
+def test_stacked_root_reports_the_first_failing_matrix(bad, require_invertible):
+    from affine_transport.linalg import _root
+
+    # the stack raises what its first failing matrix raises on its own
+    stack = np.stack([np.eye(2), bad, 2.0 * bad])
+    want = _message(_root, bad, "m", require_invertible=require_invertible)
+    assert _message(_root, stack, "m", require_invertible=require_invertible) == want
+
+
+def test_stacked_sqrt_is_each_matrix_sqrt_bit_for_bit():
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_spd(rng, 4) for _ in range(5)])
+    roots = spd_sqrt(stack)
+    for m, root in zip(stack, roots):
+        np.testing.assert_array_equal(root, spd_sqrt(m))
+
+
 def test_inv_sqrt_identity():
     np.testing.assert_allclose(spd_inv_sqrt(np.eye(2)), np.eye(2), atol=1e-12)
 

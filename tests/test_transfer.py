@@ -2,8 +2,10 @@
 
 import json
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from affine_transport import (
     AffineMap,
@@ -25,7 +27,14 @@ from affine_transport import (
     save_model,
     subset,
 )
-from helpers import affine_rows_pair, linear_pair, puck_pair, random_orthogonal, random_spd
+from helpers import (
+    affine_rows_pair,
+    linear_pair,
+    puck_pair,
+    random_orthogonal,
+    random_spd,
+    sample_fit,
+)
 
 
 def _identity_model(state_dim=1, action_dim=1):
@@ -114,6 +123,35 @@ def test_fit_agrees_with_least_squares():
     assert np.linalg.norm(model.composed.matrix - m_ls) / np.linalg.norm(m_ls) <= 0.08
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    state_dim=st.integers(1, 3),
+    action_dim=st.integers(1, 3),
+    rows_per_column=st.integers(4, 40),
+    zero_states=st.booleans(),
+)
+def test_fit_matches_the_sample_based_fit(seed, state_dim, action_dim, rows_per_column,
+                                         zero_states):
+    # a noisy affine image of random rows; with zero_states both sides start
+    # from an identically zero state block, as the puck pair does
+    rng = np.random.default_rng(seed)
+    width = 2 * state_dim + action_dim
+    n = rows_per_column * width
+    x = rng.standard_normal((n, width)) * rng.uniform(0.5, 2.0, width) + rng.standard_normal(width)
+    matrix = random_orthogonal(rng, width) @ random_spd(rng, width)
+    y = x @ matrix.T + rng.standard_normal(width) + 0.05 * rng.standard_normal((n, width))
+    if zero_states:
+        x[:, :state_dim] = 0.0
+        y[:, :state_dim] = 0.0
+    model = fit(TransitionDataset(state_dim, action_dim, x),
+                TransitionDataset(state_dim, action_dim, y))
+    got = (model.rotation, model.at.matrix, model.at.offset)
+    for name, value, want in zip("RAb", got, sample_fit(x, y)):
+        err = np.linalg.norm(value - want) / np.linalg.norm(want)
+        assert err <= 1e-12, f"{name} is {err:.2e} from the sample-based fit"
+
+
 def test_fit_rejects_mismatched_data():
     src, tgt = linear_pair(0, 50)
     with pytest.raises(PairingMismatch):
@@ -166,6 +204,28 @@ def test_model_constructor_rejects_tampering():
         TransferModel(np.eye(3), AffineMap(skew, np.zeros(3)), 1, 1, good.meta)
     with pytest.raises(MalformedModel):
         TransferModel(np.eye(3), AffineMap(np.diag([1.0, 1.0, -1.0]), np.zeros(3)), 1, 1, good.meta)
+
+
+@pytest.mark.parametrize("which", ["rotation", "asymmetric", "indefinite"])
+def test_stacked_model_checks_report_the_first_failing_map(which):
+    from affine_transport.transfer import _check_maps
+
+    skew = np.eye(3)
+    skew[0, 1] = 0.5
+    r, a = {
+        "rotation": (skew, np.eye(3)),
+        "asymmetric": (np.eye(3), skew),
+        "indefinite": (np.eye(3), np.diag([1.0, 1.0, -1.0])),
+    }[which]
+    meta = FitMeta(n_fit=2, seed=None, source_hash="", target_hash="")
+    with pytest.raises(MalformedModel) as single:
+        TransferModel(r, AffineMap(a, np.zeros(3)), 1, 1, meta)
+    # the third map fails the same check as the second, with another value
+    eye = np.eye(3)
+    r2 = 2.0 * r if which == "rotation" else r
+    with pytest.raises(MalformedModel) as stacked:
+        _check_maps(np.stack([eye, r, r2]), np.stack([eye, a, 2.0 * a]))
+    assert str(stacked.value) == str(single.value)
 
 
 def test_affinity_identical_sets():
