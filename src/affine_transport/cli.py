@@ -45,6 +45,7 @@ from .errors import (
     MalformedModel,
     MissingManifest,
     PairingMismatch,
+    TooFewSamples,
 )
 from .gaussian_ot import at_map
 from .discrete_ot import MAX_EXACT, pointwise_error
@@ -141,29 +142,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the pair flags leave no attribute unless given, so synth can tell a
+    # flag given at its default from one not given; _doc_from_flags applies
+    # the defaults that the help texts state
     synth = sub.add_parser(
-        "synth", parents=[common], help="generate a paired source/target dataset"
+        "synth",
+        parents=[common],
+        argument_default=argparse.SUPPRESS,
+        help="generate a paired source/target dataset",
     )
-    synth.add_argument("--spec", default=None, help="JSON pair spec file")
-    synth.add_argument("--kind", choices=("linear", "puck"), default=None)
+    synth.add_argument(
+        "--spec", default=None, help="JSON pair spec file; combines only with --n, --seed, --out"
+    )
     synth.add_argument("--n", type=_positive_int, default=None, help="rows per domain")
-    synth.add_argument("--source-label", default="source")
-    synth.add_argument("--target-label", default="target")
-    synth.add_argument("--noise", type=float, default=0.0, help="noise std for both domains")
-    synth.add_argument("--source-noise", type=float, default=None)
-    synth.add_argument("--target-noise", type=float, default=None)
-    synth.add_argument("--source-friction", default=None, help="puck: MU_X,MU_Y (default 0.1,0.1)")
-    synth.add_argument("--target-friction", default=None, help="puck: MU_X,MU_Y (default 0.1,0.4)")
-    synth.add_argument("--source-curl", type=float, default=0.0)
-    synth.add_argument("--target-curl", type=float, default=0.0)
-    synth.add_argument("--state-dim", type=_positive_int, default=3, help="linear only")
-    synth.add_argument("--action-dim", type=_positive_int, default=2, help="linear only")
-    synth.add_argument("--source-scales", default=None, help="linear: comma separated floats")
-    synth.add_argument("--target-scales", default=None)
-    synth.add_argument("--source-invert", default=None, help="linear: comma separated indices")
-    synth.add_argument("--target-invert", default=None)
-    synth.add_argument("--source-disable", default=None)
-    synth.add_argument("--target-disable", default=None)
+    synth.add_argument("--kind", choices=("linear", "puck"))
+    synth.add_argument("--source-label", help="source domain label (default source)")
+    synth.add_argument("--target-label", help="target domain label (default target)")
+    synth.add_argument("--noise", type=float, help="noise std for both domains (default 0)")
+    synth.add_argument("--source-noise", type=float, help="source noise std (default --noise)")
+    synth.add_argument("--target-noise", type=float, help="target noise std (default --noise)")
+    synth.add_argument("--source-friction", help="puck: MU_X,MU_Y (default 0.1,0.1)")
+    synth.add_argument("--target-friction", help="puck: MU_X,MU_Y (default 0.1,0.4)")
+    synth.add_argument("--source-curl", type=float, help="puck (default 0)")
+    synth.add_argument("--target-curl", type=float, help="puck (default 0)")
+    synth.add_argument("--state-dim", type=_positive_int, help="linear only (default 3)")
+    synth.add_argument("--action-dim", type=_positive_int, help="linear only (default 2)")
+    synth.add_argument("--source-scales", help="linear: comma separated floats")
+    synth.add_argument("--target-scales")
+    synth.add_argument("--source-invert", help="linear: comma separated indices")
+    synth.add_argument("--target-invert")
+    synth.add_argument("--source-disable")
+    synth.add_argument("--target-disable")
     synth.set_defaults(func=cmd_synth)
 
     fit_p = sub.add_parser("fit", parents=[common], help="fit a transfer model")
@@ -243,35 +252,40 @@ _PAIR_SPEC_KEYS = {
 }
 
 
+# the synth arguments that combine with --spec; every other one is a pair flag
+_SPEC_ARGS = {"command", "func", "spec", "n", "seed", "out"}
+
+
 def _doc_from_flags(args) -> dict:
     """The pair spec document that synth's flags describe, as a --spec file holds it."""
-    if args.kind is None:
+    flags = vars(args)
+    kind = flags.get("kind")
+    if kind is None:
         raise UsageError("synth needs --kind (or a --spec file)")
     if args.n is None:
         raise UsageError("synth needs --n (or a --spec file with 'n')")
-    doc = {"kind": args.kind, "n": args.n}
-    if args.kind == "linear":
-        doc["state_dim"], doc["action_dim"] = args.state_dim, args.action_dim
+    doc = {"kind": kind, "n": args.n}
+    if kind == "linear":
+        doc["state_dim"], doc["action_dim"] = flags.get("state_dim", 3), flags.get("action_dim", 2)
     for side, default_friction in (("source", "0.1,0.1"), ("target", "0.1,0.4")):
-        noise = getattr(args, f"{side}_noise")
         part = {
-            "label": getattr(args, f"{side}_label"),
-            "noise_std": args.noise if noise is None else noise,
+            "label": flags.get(f"{side}_label", side),
+            "noise_std": flags.get(f"{side}_noise", flags.get("noise", 0.0)),
         }
-        if args.kind == "puck":
-            text = getattr(args, f"{side}_friction") or default_friction
+        if kind == "puck":
+            text = flags.get(f"{side}_friction") or default_friction
             friction = _float_list(text, f"--{side}-friction")
             if len(friction) != 2:
                 raise UsageError(f"--{side}-friction expects exactly two numbers, got {text!r}")
             part["friction"] = tuple(friction)
-            part["curl"] = getattr(args, f"{side}_curl")
+            part["curl"] = flags.get(f"{side}_curl", 0.0)
         else:
             for field, name, parse in (
                 ("scales", "scales", _float_list),
                 ("inverted", "invert", _int_list),
                 ("disabled", "disable", _int_list),
             ):
-                text = getattr(args, f"{side}_{name}")
+                text = flags.get(f"{side}_{name}")
                 if text:
                     part[field] = parse(text, f"--{side}-{name}")
         doc[side] = part
@@ -344,6 +358,11 @@ def _pair_from_doc(doc: dict, seed: int):
 
 
 def cmd_synth(args) -> int:
+    if args.spec is not None:
+        pair_flags = sorted(set(vars(args)) - _SPEC_ARGS)
+        if pair_flags:
+            names = ", ".join("--" + name.replace("_", "-") for name in pair_flags)
+            raise UsageError(f"--spec combines only with --n, --seed and --out, not with {names}")
     out = Path(_require_out(args))
     if not out.is_dir():
         raise OSError(f"output directory does not exist: {out}")
@@ -427,9 +446,15 @@ def learning_curve(
     Each repeat is reduced to its paired moments, and the moments of up to
     ``_CURVE_BLOCK`` repeats are fitted by one call of the stacked kernel.
     Only the pointwise part of the evaluation runs, so no transport is solved
-    and the holdout is not limited by the exact solver's cap.
+    and the holdout is not limited by the exact solver's cap. Raises BadSpec
+    for ``repeats`` below 1 or a size above the pool, and TooFewSamples for a
+    size below 2.
     """
+    if repeats < 1:
+        raise BadSpec(f"repeats must be positive, got {repeats}")
     for size in sizes:
+        if size < 2:
+            raise TooFewSamples(f"need at least 2 paired rows to fit, got fit size {size}")
         if size > pool_s.n:
             raise BadSpec(
                 f"fit size {size} exceeds the {pool_s.n} rows available after holdout"

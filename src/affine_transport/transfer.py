@@ -411,12 +411,12 @@ def load_model(path) -> TransferModel:
         raise MalformedModel("field 'meta' must be an object")
     seed = meta_doc.get("seed")
     ints = "model meta n_fit and seed must be integers"
-    meta = FitMeta(
-        n_fit=_json_int(_model_field(meta_doc, "n_fit"), MalformedModel, ints),
-        seed=None if seed is None else _json_int(seed, MalformedModel, ints),
-        source_hash=str(_model_field(meta_doc, "source_hash")),
-        target_hash=str(_model_field(meta_doc, "target_hash")),
-    )
+    n_fit = _json_int(_model_field(meta_doc, "n_fit"), MalformedModel, ints)
+    seed = None if seed is None else _json_int(seed, MalformedModel, ints)
+    source_hash, target_hash = (_model_field(meta_doc, k) for k in ("source_hash", "target_hash"))
+    if not (isinstance(source_hash, str) and isinstance(target_hash, str)):
+        raise MalformedModel("model meta source_hash and target_hash must be strings")
+    meta = FitMeta(n_fit, seed, source_hash, target_hash)
     rotation = arrays["R"].reshape(dim, dim)
     at = AffineMap(arrays["A"].reshape(dim, dim), arrays["b"])
     return TransferModel(rotation, at, state_dim, action_dim, meta)

@@ -1,11 +1,13 @@
 """Tests for the command line front end: flags, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affine_transport import (
+    BadSpec,
     TooFewSamples,
     TransitionDataset,
     evaluate_pointwise,
@@ -17,7 +19,9 @@ from affine_transport import (
     split,
     subset,
 )
-from affine_transport.cli import main
+from affine_transport.cli import learning_curve, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*args):
@@ -192,6 +196,31 @@ def test_synth_flags_and_spec_write_identical_files(tmp_path, flags, doc):
     names = ("source.csv", "target.csv", "source.manifest.json", "target.manifest.json")
     for name in names:
         assert (from_flags / name).read_bytes() == (from_spec / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "linear", "--target-scales", "2,2,2", "--noise", "5"],
+        ["--noise", "0"],
+        ["--kind", "puck"],
+        ["--source-label", "source"],
+        ["--state-dim", "3"],
+        ["--target-friction", "0.1,0.4"],
+    ],
+    ids=["other-pair", "noise-default", "kind", "label-default", "state-dim-default",
+         "friction-default"],
+)
+def test_synth_spec_rejects_pair_flags(tmp_path, capsys, flags):
+    # a pair flag beside --spec would be ignored, even at its default value
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps({"kind": "puck", "n": 10}))
+    assert run("synth", "--spec", spec, "--out", tmp_path, *flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("usage error: --spec combines only with --n, --seed and --out")
+    assert not (tmp_path / "source.csv").exists()
+    assert run("synth", "--spec", spec, "--n", 12, "--seed", 3, "--out", tmp_path) == 0
 
 
 def test_fit_identity_pair(tmp_path, capsys):
@@ -439,6 +468,26 @@ def test_learning_curve_fits_each_size_in_one_kernel_call(monkeypatch):
 
     with pytest.raises(TooFewSamples):
         cli.learning_curve(pool_s, pool_t, hold_s, hold_t, [1], 20, 4)
+
+
+def _curve_pools():
+    """Pool and holdout of a seed-4 puck pair: (pool_s, pool_t, hold_s, hold_t)."""
+    from helpers import puck_pair
+
+    src, tgt = puck_pair(4, 100, noise=0.01)
+    pool_s, hold_s = split(src, (0.75, 0.25), 4)
+    pool_t, hold_t = split(tgt, (0.75, 0.25), 4)
+    return pool_s, pool_t, hold_s, hold_t
+
+
+def test_learning_curve_api_rejects_zero_repeats():
+    with pytest.raises(BadSpec, match="repeats must be positive, got 0"):
+        learning_curve(*_curve_pools(), [8], 0, 4)
+
+
+def test_learning_curve_api_rejects_negative_sizes():
+    with pytest.raises(TooFewSamples, match="got fit size -1"):
+        learning_curve(*_curve_pools(), [8, -1], 20, 4)
 
 
 def test_learning_curve_rejects_zero_repeats(tmp_path):
@@ -840,11 +889,18 @@ def test_spec_array_fields_reject_booleans(tmp_path, capsys, path):
     assert len(err) == 1 and err[0].startswith("error[BadSpec]: ")
 
 
-@pytest.mark.parametrize("name", ["R", "A", "b"])
-def test_model_array_fields_reject_booleans(int_work, tmp_path, capsys, name):
+# a model field of the wrong JSON type: a boolean in an array, or a dataset
+# hash that is not a string
+@pytest.mark.parametrize(
+    "path, value",
+    [(("R", 0), True), (("A", 0), True), (("b", 0), True),
+     (("meta", "source_hash"), None), (("meta", "target_hash"), [1, 2])],
+    ids=["R", "A", "b", "source_hash-null", "target_hash-list"],
+)
+def test_model_array_fields_reject_booleans(int_work, tmp_path, capsys, path, value):
     pair = int_work / "pair"
     doc = json.loads((int_work / "model.json").read_text())
-    doc[name][0] = True
+    _get(doc, path[:-1])[path[-1]] = value
     (tmp_path / "model.json").write_text(json.dumps(doc))
     code = run("eval", "--model", tmp_path / "model.json", "--source", pair / "source.csv",
                "--target", pair / "target.csv", "--out", tmp_path / "r.json")
@@ -863,3 +919,20 @@ def test_learning_curve_csv_from_synth_pair(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n_fit,mean_error,std_error,repeats"
     assert [line.split(",")[0] for line in lines[1:]] == ["8", "16", "32"]
+
+
+SPECS = sorted(ROOT.glob("specs/**/*.json"))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=[str(p.relative_to(ROOT)) for p in SPECS])
+def test_committed_spec_runs_synth_fit_eval(tmp_path, spec):
+    # the README's table loops: train and holdout pairs at two seeds, fit, eval
+    train, hold = tmp_path / "train", tmp_path / "hold"
+    for out, seed in ((train, 0), (hold, 1000)):
+        out.mkdir()
+        assert run("synth", "--spec", spec, "--n", 60, "--seed", seed, "--out", out) == 0
+    assert run("fit", "--source", train / "source.csv", "--target", train / "target.csv",
+               "--out", tmp_path / "model.json") == 0
+    assert run("eval", "--model", tmp_path / "model.json", "--source", hold / "source.csv",
+               "--target", hold / "target.csv", "--out", tmp_path / "report.json") == 0
+    assert np.isfinite(json.loads((tmp_path / "report.json").read_text())["rho_aff"])
