@@ -15,16 +15,11 @@ import dataclasses
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    DomainSpec,
-    TransitionDataset,
-    _json_int,
-    _json_reals,
     _read_json,
     _write_csv,
     _write_json,
@@ -32,6 +27,7 @@ from .data import (
     gen_linear,
     gen_puck,
     load_csv,
+    pair_specs,
     rng_stream,
     save_dataset,
     split,
@@ -45,31 +41,22 @@ from .errors import (
     MalformedModel,
     MissingManifest,
     PairingMismatch,
-    TooFewSamples,
 )
 from .gaussian_ot import at_map
-from .discrete_ot import MAX_EXACT, pointwise_error
+from .discrete_ot import MAX_EXACT
 from .transfer import (
-    _check_eval_inputs,
-    _check_maps,
-    _fit_moments,
-    _paired_moments,
     affinity_score,
     apply,
     evaluate,
     fit,
+    learning_curve,
     load_model,
     save_model,
 )
 
-__all__ = ["LearningCurvePoint", "learning_curve", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 log = logging.getLogger("affine_transport.cli")
-
-# repeats of one fit size that one kernel call fits. It is the default
-# --repeats, so a default curve makes one call per size, and the curve's
-# working set stays one block's whatever --repeats is.
-_CURVE_BLOCK = 20
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,16 +80,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class LearningCurvePoint:
-    """Held-out error statistics for one fit size."""
-
-    n_fit: int
-    mean_error: float
-    std_error: float
-    repeats: int
 
 
 def _nonneg_int(text: str) -> int:
@@ -211,13 +188,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stderr(logging.StreamHandler):
+    """A handler on whatever ``sys.stderr`` is when a record is written."""
+
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
+_HANDLER = _Stderr()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _configure_logging() -> None:
+    """Send the package's records to stderr at AT_LOG_LEVEL. Only the
+    ``affine_transport`` logger is set, and its records stop there: the root
+    logger belongs to the process that calls ``main``."""
     name = os.environ.get("AT_LOG_LEVEL", "warn").strip().lower()
-    level = _LOG_LEVELS.get(name, logging.WARNING)
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
-    logging.getLogger("affine_transport").setLevel(level)
+    logger = logging.getLogger("affine_transport")
+    logger.setLevel(_LOG_LEVELS.get(name, logging.WARNING))
+    logger.propagate = False
+    if _HANDLER not in logger.handlers:
+        logger.addHandler(_HANDLER)
 
 
 def _require_out(args) -> str:
@@ -238,18 +228,6 @@ def _int_list(text: str, flag: str) -> list[int]:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise UsageError(f"{flag} expects comma separated integers, got {text!r}")
-
-
-_PAIR_SPEC_KEYS = {
-    "kind",
-    "n",
-    "state_dim",
-    "action_dim",
-    "dynamics",
-    "controls",
-    "source",
-    "target",
-}
 
 
 # the synth arguments that combine with --spec; every other one is a pair flag
@@ -292,71 +270,6 @@ def _doc_from_flags(args) -> dict:
     return doc
 
 
-def _spec_int(doc: dict, key: str, default=None) -> int:
-    value = doc.get(key, default)
-    return _json_int(value, BadSpec, f"spec field {key!r} must be an integer, got {value!r}")
-
-
-def _pair_from_doc(doc: dict, seed: int):
-    """``(n, action_dim, source, target)`` from a pair spec document.
-
-    Both sides start from the shared fields (kind; for linear pairs the
-    dynamics and controls, drawn from the seed unless given) and the side's
-    label, then take the side's own object on top.
-    """
-    unknown = set(doc) - _PAIR_SPEC_KEYS
-    if unknown:
-        raise BadSpec(f"unknown spec file fields: {sorted(unknown)}")
-    kind = doc.get("kind")
-    if kind not in ("linear", "puck"):
-        raise BadSpec(f"spec file must set kind to 'linear' or 'puck', got {kind!r}")
-    if doc.get("n") is None:
-        raise BadSpec("sample count is missing: set 'n' in the spec file or pass --n")
-    n = _spec_int(doc, "n")
-    if n < 1:
-        raise BadSpec(f"sample count must be positive, got {n}")
-    base = {"kind": kind}
-    d, k = 2, 2
-    if kind == "linear":
-        for name in ("dynamics", "controls"):
-            if name in doc:
-                m = _json_reals(doc[name], BadSpec, f"{name} must be an array of finite numbers")
-                if m.ndim != 2:
-                    raise BadSpec(f"{name} must be a matrix, got shape {m.shape}")
-                base[name] = m
-        # given matrices fix the dimensions; a stated one must agree with them
-        dims = {}
-        if "controls" in base:
-            dims["state_dim"], dims["action_dim"] = base["controls"].shape
-        if "dynamics" in base:
-            dims["state_dim"] = base["dynamics"].shape[0]
-        for key, default in (("state_dim", 3), ("action_dim", 2)):
-            if key in doc:
-                stated = _spec_int(doc, key)
-                if dims.setdefault(key, stated) != stated:
-                    raise BadSpec(f"spec states {key} {stated}, its matrices have {dims[key]}")
-            dims.setdefault(key, default)
-        d, k = dims["state_dim"], dims["action_dim"]
-        if d < 1 or k < 1:
-            raise BadSpec(f"state_dim and action_dim must be positive, got {d} and {k}")
-    # the arrays synth allocates: rows, dynamics, controls
-    for shape in ((n, 2 * d + k), (d, d), (d, k)):
-        if shape[0] * shape[1] * 8 > np.iinfo(np.intp).max:
-            raise BadSpec(f"spec asks for a float64 array of shape {shape}, too large to index")
-    if kind == "linear":
-        if "dynamics" not in base:
-            base["dynamics"] = rng_stream(seed, "dynamics").standard_normal((d, d)) / np.sqrt(d)
-        if "controls" not in base:
-            base["controls"] = rng_stream(seed, "controls").standard_normal((d, k)) / np.sqrt(k)
-    sides = []
-    for side in ("source", "target"):
-        part = doc.get(side, {})
-        if not isinstance(part, dict):
-            raise BadSpec(f"spec field {side!r} must be an object, got {part!r}")
-        sides.append(DomainSpec.from_dict({**base, "label": side, **part}))
-    return n, k, sides[0], sides[1]
-
-
 def cmd_synth(args) -> int:
     if args.spec is not None:
         pair_flags = sorted(set(vars(args)) - _SPEC_ARGS)
@@ -372,7 +285,7 @@ def cmd_synth(args) -> int:
             doc["n"] = args.n
     else:
         doc = _doc_from_flags(args)
-    n, k, source_spec, target_spec = _pair_from_doc(doc, args.seed)
+    n, k, source_spec, target_spec = pair_specs(doc, args.seed)
     actions = rng_stream(args.seed, "actions").standard_normal((n, k))
     generate = gen_puck if source_spec.kind == "puck" else gen_linear
     src = generate(source_spec, actions, args.seed)
@@ -392,10 +305,7 @@ def cmd_fit(args) -> int:
     model = fit(src, tgt)
     frob = float(np.linalg.norm(model.composed.matrix))
     # scored before the model is written, so a failing fit leaves no file
-    if src.n <= MAX_EXACT:
-        rho = repr(affinity_score(apply(model, src.rows), tgt.rows))
-    else:
-        rho = "n/a"
+    rho = repr(affinity_score(apply(model, src.rows), tgt.rows)) if src.n <= MAX_EXACT else "n/a"
     save_model(model, out)
     log.info("wrote model to %s", out)
     print(
@@ -429,78 +339,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def learning_curve(
-    pool_s: TransitionDataset,
-    pool_t: TransitionDataset,
-    hold_s: TransitionDataset,
-    hold_t: TransitionDataset,
-    sizes,
-    repeats: int,
-    seed: int,
-) -> list[LearningCurvePoint]:
-    """Held-out pointwise error of fits on seeded subsamples of a paired pool.
-
-    For each size, ``repeats`` fits on rows drawn without replacement from
-    the pool are scored on the fixed holdout by their mean next-state error,
-    as ``evaluate_pointwise`` scores ``fit`` of the same rows, bit for bit.
-    Each repeat is reduced to its paired moments, and the moments of up to
-    ``_CURVE_BLOCK`` repeats are fitted by one call of the stacked kernel.
-    Only the pointwise part of the evaluation runs, so no transport is solved
-    and the holdout is not limited by the exact solver's cap. Raises BadSpec
-    for ``repeats`` below 1 or a size above the pool, and TooFewSamples for a
-    size below 2.
-    """
-    if repeats < 1:
-        raise BadSpec(f"repeats must be positive, got {repeats}")
-    for size in sizes:
-        if size < 2:
-            raise TooFewSamples(f"need at least 2 paired rows to fit, got fit size {size}")
-        if size > pool_s.n:
-            raise BadSpec(
-                f"fit size {size} exceeds the {pool_s.n} rows available after holdout"
-            )
-    check_paired(pool_s, pool_t)
-    _check_eval_inputs(pool_s.width, hold_s, hold_t)
-    w, sd = pool_s.width, pool_s.state_dim
-    block = max(1, min(repeats, _CURVE_BLOCK))
-    # one block's moments, filled in place for every block: allocating them
-    # per repeat, between each repeat's short-lived gathered rows, fragments
-    # the heap and raises the peak RSS
-    mean_s, mean_t = np.empty((block, w)), np.empty((block, w))
-    gram = np.empty((block, 2 * w, 2 * w))
-    points = []
-    for size in sizes:
-        errors = np.empty(repeats)
-        for start in range(0, repeats, block):
-            reps = range(start, min(start + block, repeats))
-            for j, rep in enumerate(reps):
-                idx = np.sort(
-                    rng_stream(seed, "curve", size, rep).choice(pool_s.n, size=size, replace=False)
-                )
-                moments = _paired_moments(pool_s.rows[idx], pool_t.rows[idx])
-                _, mean_s[j], mean_t[j], gram[j] = moments
-            k = len(reps)
-            r, a, b = _fit_moments(size, mean_s[:k], mean_t[:k], gram[:k])
-            _check_maps(r, a)
-            # evaluate_pointwise's error_after of each map: apply() to the
-            # holdout, then pointwise_error of the next states. One map at a
-            # time, so the curve holds one transported copy of the holdout.
-            for rep, matrix, offset in zip(reps, a @ r, b):
-                transported = hold_s.rows @ matrix.T + offset
-                errors[rep] = pointwise_error(transported[:, -sd:], hold_t.next_states)[0]
-        points.append(LearningCurvePoint(size, float(errors.mean()), float(errors.std()), repeats))
-    return points
-
-
 def cmd_learning_curve(args) -> int:
     out = _require_out(args)
     sizes = _int_list(args.sizes, "--sizes")
     if not sizes or any(s < 2 for s in sizes):
         raise UsageError(f"--sizes needs fit sizes of at least 2, got {args.sizes!r}")
     if not 0.0 < args.holdout_fraction < 1.0:
-        raise UsageError(
-            f"--holdout-fraction must be in (0, 1), got {args.holdout_fraction}"
-        )
+        raise UsageError(f"--holdout-fraction must be in (0, 1), got {args.holdout_fraction}")
     src, tgt = load_csv(args.source), load_csv(args.target)
     check_paired(src, tgt)
     fractions = (1.0 - args.holdout_fraction, args.holdout_fraction)

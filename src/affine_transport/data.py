@@ -1,4 +1,4 @@
-"""Transition datasets: synthetic generators, splits, and every on-disk format.
+"""Transition datasets: pair specs, synthetic generators, splits, and every on-disk format.
 
 A dataset holds n transition triplets (state, action, next state) as rows of
 width 2 d + k. Two generator families are provided: randomized linear
@@ -38,6 +38,7 @@ __all__ = [
     "TransitionDataset",
     "check_paired",
     "DomainSpec",
+    "pair_specs",
     "rng_stream",
     "gen_linear",
     "gen_puck",
@@ -214,6 +215,75 @@ class DomainSpec:
         if "kind" not in doc:
             raise BadSpec("domain spec is missing 'kind'")
         return cls(**doc)
+
+
+_PAIR_SPEC_KEYS = {"kind", "n", "state_dim", "action_dim", "dynamics", "controls",
+                   "source", "target"}
+
+
+def pair_specs(doc: dict, seed: int):
+    """``(n, action_dim, source, target)`` from a pair spec document, the
+    JSON object a ``synth --spec`` file holds and ``synth``'s flags describe.
+
+    Both sides start from the shared fields (kind; for linear pairs the
+    dynamics and controls, drawn from the seed unless given) and the side's
+    label, then take the side's own object on top. Raises BadSpec.
+    """
+    def spec_int(key: str) -> int:
+        value = doc[key]
+        return _json_int(value, BadSpec, f"spec field {key!r} must be an integer, got {value!r}")
+
+    unknown = set(doc) - _PAIR_SPEC_KEYS
+    if unknown:
+        raise BadSpec(f"unknown spec file fields: {sorted(unknown)}")
+    kind = doc.get("kind")
+    if kind not in ("linear", "puck"):
+        raise BadSpec(f"spec file must set kind to 'linear' or 'puck', got {kind!r}")
+    if doc.get("n") is None:
+        raise BadSpec("sample count is missing: set 'n' in the spec file or pass --n")
+    n = spec_int("n")
+    if n < 1:
+        raise BadSpec(f"sample count must be positive, got {n}")
+    base = {"kind": kind}
+    d, k = 2, 2
+    if kind == "linear":
+        for name in ("dynamics", "controls"):
+            if name in doc:
+                m = _json_reals(doc[name], BadSpec, f"{name} must be an array of finite numbers")
+                if m.ndim != 2:
+                    raise BadSpec(f"{name} must be a matrix, got shape {m.shape}")
+                base[name] = m
+        # given matrices fix the dimensions; a stated one must agree with them
+        dims = {}
+        if "controls" in base:
+            dims["state_dim"], dims["action_dim"] = base["controls"].shape
+        if "dynamics" in base:
+            dims["state_dim"] = base["dynamics"].shape[0]
+        for key, default in (("state_dim", 3), ("action_dim", 2)):
+            if key in doc:
+                stated = spec_int(key)
+                if dims.setdefault(key, stated) != stated:
+                    raise BadSpec(f"spec states {key} {stated}, its matrices have {dims[key]}")
+            dims.setdefault(key, default)
+        d, k = dims["state_dim"], dims["action_dim"]
+        if d < 1 or k < 1:
+            raise BadSpec(f"state_dim and action_dim must be positive, got {d} and {k}")
+    # the arrays synth allocates: rows, dynamics, controls
+    for shape in ((n, 2 * d + k), (d, d), (d, k)):
+        if shape[0] * shape[1] * 8 > np.iinfo(np.intp).max:
+            raise BadSpec(f"spec asks for a float64 array of shape {shape}, too large to index")
+    if kind == "linear":
+        if "dynamics" not in base:
+            base["dynamics"] = rng_stream(seed, "dynamics").standard_normal((d, d)) / np.sqrt(d)
+        if "controls" not in base:
+            base["controls"] = rng_stream(seed, "controls").standard_normal((d, k)) / np.sqrt(k)
+    sides = []
+    for side in ("source", "target"):
+        part = doc.get(side, {})
+        if not isinstance(part, dict):
+            raise BadSpec(f"spec field {side!r} must be an object, got {part!r}")
+        sides.append(DomainSpec.from_dict({**base, "label": side, **part}))
+    return n, k, sides[0], sides[1]
 
 
 def gen_linear(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionDataset:

@@ -31,9 +31,10 @@ from .data import (
     _write_json,
     check_paired,
     dataset_fingerprint,
+    rng_stream,
 )
 from .discrete_ot import empirical_w2, pointwise_error
-from .errors import DegenerateInput, DimensionMismatch, MalformedModel, TooFewSamples
+from .errors import BadSpec, DegenerateInput, DimensionMismatch, MalformedModel, TooFewSamples
 # at_map is not called here; it stays bound because perfbench/tracing.py
 # wraps transfer.at_map
 from .gaussian_ot import (
@@ -56,6 +57,8 @@ __all__ = [
     "affinity_score",
     "evaluate",
     "evaluate_pointwise",
+    "LearningCurvePoint",
+    "learning_curve",
     "save_model",
     "load_model",
 ]
@@ -67,6 +70,11 @@ _PSD_TOL = 1e-8
 
 # bytes of centred rows the paired Gram is accumulated from at a time
 _GRAM_CHUNK = 1 << 16
+
+# repeats of one fit size that one kernel call fits. It is the default
+# --repeats, so a default curve makes one call per size, and the curve's
+# working set stays one block's whatever --repeats is.
+_CURVE_BLOCK = 20
 
 
 def procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -218,19 +226,16 @@ def fit(source: TransitionDataset, target: TransitionDataset) -> TransferModel:
     The fit reads only the pair's moments (``_paired_moments``): the
     Procrustes rotation R is the polar factor of the cross-covariance of the
     centred rows, and affine transport is fitted from the rotated source
-    moments to the target moments.
+    moments to the target moments. Raises DegenerateInput if the target rows
+    are all equal.
     """
     check_paired(source, target)
     n, mean_s, mean_t, gram = _paired_moments(source.rows, target.rows)
+    _require_spread(target.rows)
     # a stack of one through the kernel the learning curve stacks
     r, a, b = (m[0] for m in _fit_moments(n, mean_s[None], mean_t[None], gram[None]))
     at = AffineMap(a, b)
-    meta = FitMeta(
-        n_fit=source.n,
-        seed=source.seed,
-        source_hash=dataset_fingerprint(source),
-        target_hash=dataset_fingerprint(target),
-    )
+    meta = FitMeta(source.n, source.seed, dataset_fingerprint(source), dataset_fingerprint(target))
     return TransferModel(r, at, source.state_dim, source.action_dim, meta)
 
 
@@ -240,9 +245,7 @@ def apply(model: TransferModel, triplets: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != model.dim:
-        raise DimensionMismatch(
-            f"triplets have width {x.shape[-1]}, model expects {model.dim}"
-        )
+        raise DimensionMismatch(f"triplets have width {x.shape[-1]}, model expects {model.dim}")
     return model.composed.apply(x)
 
 
@@ -254,10 +257,16 @@ def affinity_score(transported: np.ndarray, target: np.ndarray) -> float:
     one means the domains are nearly affinely related.
     """
     t, y = sample_pair(transported, target, ("transported", "target"))
-    # exact row equality: the mean of equal values (ten rows of 0.1) can be off
-    if (y == y[:1]).all():
-        raise DegenerateInput("target samples are all identical; the score is undefined")
+    _require_spread(y)
     return _rho_and_bound(empirical_w2(t, y), y)[0]
+
+
+def _require_spread(target: np.ndarray) -> None:
+    """Raise DegenerateInput if all the (finite) target rows are equal; ``fit``,
+    ``evaluate`` and ``affinity_score`` check it before any solve. Exact
+    equality, as per-column min == max, which builds no mask of the rows."""
+    if not target.size or (target.min(axis=0) == target.max(axis=0)).all():
+        raise DegenerateInput("target samples are all identical; the score is undefined")
 
 
 def _rho_and_bound(w2: float, target: np.ndarray) -> tuple[float, float]:
@@ -313,11 +322,19 @@ def evaluate_pointwise(
     against the target, and the transported source rows.
     """
     _check_eval_inputs(model.dim, source, target)
-    transported = apply(model, source.rows)
-    sd = model.state_dim
     before = pointwise_error(source.next_states, target.next_states)
-    after = pointwise_error(transported[:, -sd:], target.next_states)
-    return (before[0], before[1]), (after[0], after[1]), transported
+    transported, after = _error_after(model.composed.matrix, model.composed.offset, source, target)
+    return (before[0], before[1]), after, transported
+
+
+def _error_after(matrix, offset, source: TransitionDataset, target: TransitionDataset):
+    """``(transported, (mean, std))``: the source rows under x -> matrix x + offset,
+    as ``AffineMap.apply`` maps them, and their next-state error against the target.
+    ``evaluate_pointwise`` and ``learning_curve`` both score a map through it, so
+    they agree bit for bit."""
+    transported = source.rows @ matrix.T + offset
+    mean, std, _ = pointwise_error(transported[:, -target.state_dim :], target.next_states)
+    return transported, (mean, std)
 
 
 def evaluate(
@@ -326,9 +343,11 @@ def evaluate(
     """Evaluate a fitted model on paired source and target datasets.
 
     Adds the distribution part (two exact W2 solves, the normal-approximation
-    bound and rho) to ``evaluate_pointwise``.
+    bound and rho) to ``evaluate_pointwise``; a target whose rows are all
+    equal raises DegenerateInput before either solve.
     """
     error_before, error_after, transported = evaluate_pointwise(model, source, target)
+    _require_spread(target.rows)
     w2_before = empirical_w2(source.rows, target.rows)
     w2_after = empirical_w2(transported, target.rows)
     rho, bound = _rho_and_bound(w2_after, target.rows)
@@ -349,6 +368,70 @@ def evaluate(
         n_eval=source.n,
         eval_on_fit_data=on_fit,
     )
+
+
+@dataclass(frozen=True)
+class LearningCurvePoint:
+    """Held-out error statistics for one fit size."""
+
+    n_fit: int
+    mean_error: float
+    std_error: float
+    repeats: int
+
+
+def learning_curve(
+    pool_s: TransitionDataset, pool_t: TransitionDataset,
+    hold_s: TransitionDataset, hold_t: TransitionDataset,
+    sizes, repeats: int, seed: int,
+) -> list[LearningCurvePoint]:
+    """Held-out pointwise error of fits on seeded subsamples of a paired pool.
+
+    For each size, ``repeats`` fits on rows drawn without replacement from
+    the pool are scored on the fixed holdout by their mean next-state error,
+    as ``evaluate_pointwise`` scores ``fit`` of the same rows, bit for bit.
+    Each repeat is reduced to its paired moments, and the moments of up to
+    ``_CURVE_BLOCK`` repeats are fitted by one call of the stacked kernel.
+    Only the pointwise part of the evaluation runs, so no transport is solved
+    and the holdout is not limited by the exact solver's cap. Raises BadSpec
+    for ``repeats`` below 1 or a size above the pool, and TooFewSamples for a
+    size below 2.
+    """
+    if repeats < 1:
+        raise BadSpec(f"repeats must be positive, got {repeats}")
+    for size in sizes:
+        if size < 2:
+            raise TooFewSamples(f"need at least 2 paired rows to fit, got fit size {size}")
+        if size > pool_s.n:
+            raise BadSpec(f"fit size {size} exceeds the {pool_s.n} rows available after holdout")
+    check_paired(pool_s, pool_t)
+    _check_eval_inputs(pool_s.width, hold_s, hold_t)
+    w = pool_s.width
+    block = max(1, min(repeats, _CURVE_BLOCK))
+    # one block's moments, filled in place for every block: allocating them
+    # per repeat, between each repeat's short-lived gathered rows, fragments
+    # the heap and raises the peak RSS
+    mean_s, mean_t = np.empty((block, w)), np.empty((block, w))
+    gram = np.empty((block, 2 * w, 2 * w))
+    points = []
+    for size in sizes:
+        errors = np.empty(repeats)
+        for start in range(0, repeats, block):
+            reps = range(start, min(start + block, repeats))
+            for j, rep in enumerate(reps):
+                idx = np.sort(
+                    rng_stream(seed, "curve", size, rep).choice(pool_s.n, size=size, replace=False)
+                )
+                moments = _paired_moments(pool_s.rows[idx], pool_t.rows[idx])
+                _, mean_s[j], mean_t[j], gram[j] = moments
+            k = len(reps)
+            r, a, b = _fit_moments(size, mean_s[:k], mean_t[:k], gram[:k])
+            _check_maps(r, a)
+            # one map at a time, so the curve holds one transported copy of the holdout
+            for rep, matrix, offset in zip(reps, a @ r, b):
+                errors[rep] = _error_after(matrix, offset, hold_s, hold_t)[1][0]
+        points.append(LearningCurvePoint(size, float(errors.mean()), float(errors.std()), repeats))
+    return points
 
 
 def save_model(model: TransferModel, path) -> None:

@@ -1,6 +1,9 @@
 """Tests for the command line front end: flags, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +351,38 @@ def test_score_constant_target_is_degenerate_input(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error[DegenerateInput]: ")
 
 
+def test_constant_target_is_refused_by_every_command_at_any_n(tmp_path, monkeypatch, capsys):
+    import affine_transport.discrete_ot as discrete_ot
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an assignment solve ran")
+
+    pair = synth_linear(tmp_path, "pair", n=50, seed=1)
+    model = tmp_path / "model.json"
+    assert run("fit", "--source", pair / "source.csv", "--target", pair / "target.csv",
+               "--out", model) == 0
+    monkeypatch.setattr(discrete_ot, "linear_sum_assignment", refuse)
+    ones = tmp_path / "ones.csv"
+    save_dataset(TransitionDataset(3, 2, np.ones((50, 8))), ones)
+    # above the exact cap fit scores nothing, and the target is still refused
+    big = [tmp_path / "big_source.csv", tmp_path / "big_target.csv"]
+    save_dataset(TransitionDataset(1, 1, np.arange(3 * 4097.0).reshape(4097, 3)), big[0])
+    save_dataset(TransitionDataset(1, 1, np.ones((4097, 3))), big[1])
+    capsys.readouterr()
+    commands = [
+        ("eval", "--model", model, "--source", pair / "source.csv", "--target", ones,
+         "--out", tmp_path / "report.json"),
+        ("score", "--source", pair / "source.csv", "--target", ones),
+        ("fit", "--source", big[0], "--target", big[1], "--out", tmp_path / "big.json"),
+    ]
+    for argv in commands:
+        assert run(*argv) == 5, argv[0]
+        assert capsys.readouterr().err == (
+            "error[DegenerateInput]: target samples are all identical; the score is undefined\n"
+        )
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "big.json").exists()
+
+
 def test_eval_writes_json_report(tmp_path):
     out = synth_linear(tmp_path, "pair")
     model_path = tmp_path / "model.json"
@@ -452,22 +487,24 @@ def test_learning_curve_matches_single_fits_bit_for_bit(tmp_path):
 
 
 def test_learning_curve_fits_each_size_in_one_kernel_call(monkeypatch):
-    from affine_transport import cli
+    from affine_transport import transfer
     from helpers import puck_pair
 
     src, tgt = puck_pair(4, 400, noise=0.01)
     pool_s, hold_s = split(src, (0.75, 0.25), 4)
     pool_t, hold_t = split(tgt, (0.75, 0.25), 4)
     calls = []
-    kernel = cli._fit_moments
-    monkeypatch.setattr(cli, "_fit_moments", lambda *args: calls.append(args) or kernel(*args))
-    points = cli.learning_curve(pool_s, pool_t, hold_s, hold_t, [8, 32, 128], 20, 4)
+    kernel = transfer._fit_moments
+    monkeypatch.setattr(
+        transfer, "_fit_moments", lambda *args: calls.append(args) or kernel(*args)
+    )
+    points = learning_curve(pool_s, pool_t, hold_s, hold_t, [8, 32, 128], 20, 4)
     assert [p.n_fit for p in points] == [8, 32, 128]
     # one stack of all 20 repeats per size
     assert [(args[0], args[3].shape[0]) for args in calls] == [(8, 20), (32, 20), (128, 20)]
 
     with pytest.raises(TooFewSamples):
-        cli.learning_curve(pool_s, pool_t, hold_s, hold_t, [1], 20, 4)
+        learning_curve(pool_s, pool_t, hold_s, hold_t, [1], 20, 4)
 
 
 def _curve_pools():
@@ -640,6 +677,40 @@ def test_log_level_does_not_change_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv("AT_LOG_LEVEL", "debug")
     assert run("synth", "--kind", "puck", "--n", 20, "--out", chatty) == 0
     assert (quiet / "source.csv").read_bytes() == (chatty / "source.csv").read_bytes()
+
+
+def test_info_log_level_prints_the_wrote_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("AT_LOG_LEVEL", "info")
+    assert run("synth", "--kind", "puck", "--n", 20, "--out", tmp_path) == 0
+    err = capsys.readouterr().err
+    wrote = f"INFO affine_transport.cli: wrote {tmp_path / 'source.csv'} and "
+    assert err.startswith(wrote) and len(err.splitlines()) == 1
+
+
+# Runs in a fresh interpreter, whose root logger has no handler yet
+_HOST = r"""
+import logging, sys
+from affine_transport.cli import main
+
+root = logging.getLogger()
+assert main(["synth", "--kind", "puck", "--n", "20", "--out", sys.argv[1]]) == 0
+assert root.handlers == [] and root.level == logging.WARNING, (root.handlers, root.level)
+logging.basicConfig(level=logging.INFO, format="host %(message)s")
+logging.getLogger("host").info("line")
+assert main(["synth", "--kind", "puck", "--n", "20", "--out", sys.argv[1]]) == 0
+"""
+
+
+def test_main_leaves_the_root_logger_to_its_host(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), AT_LOG_LEVEL="info")
+    proc = subprocess.run([sys.executable, "-c", _HOST, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    wrote = f"INFO affine_transport.cli: wrote {tmp_path / 'source.csv'} and "
+    lines = proc.stderr.splitlines()
+    # the host's line, and the package's once per run: never through the host's handler too
+    assert lines[1] == "host line"
+    assert [line.startswith(wrote) for line in lines] == [True, False, True]
 
 
 def test_eval_on_empty_pair_is_too_few_samples(tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 from affine_transport import (
     AffineMap,
     FitMeta,
+    LearningCurvePoint,
     TransferModel,
     TransferReport,
     TransitionDataset,
@@ -129,7 +130,7 @@ def files(tmp_path, monkeypatch):
     save_model(TransferModel(rotation, transport, 1, 1, FitMeta(3, None, "ab", "cd")), model)
 
     report = TransferReport(0.1, 0.2, 1 / 3, 0.0, 1e16, 2.5e-17, 0.75, 4.0, 3, 3, False)
-    points = [cli.LearningCurvePoint(2, 0.1, 1 / 3, 1), cli.LearningCurvePoint(3, 1e-5, 0.0, 1)]
+    points = [LearningCurvePoint(2, 0.1, 1 / 3, 1), LearningCurvePoint(3, 1e-5, 0.0, 1)]
     monkeypatch.setattr(cli, "evaluate", lambda *args: report)
     monkeypatch.setattr(cli, "learning_curve", lambda *args: points)
     monkeypatch.setattr(cli, "affinity_score", lambda *args: 0.1)

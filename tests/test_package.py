@@ -17,22 +17,22 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLIC = {
     "AffineMap", "AffineTransportError", "BadFraction", "BadSpec",
     "DegenerateInput", "DimensionMismatch", "DomainSpec", "FitMeta",
-    "GaussianModel", "IndefiniteMatrix", "MAX_EXACT", "MalformedCsv",
+    "GaussianModel", "IndefiniteMatrix", "LearningCurvePoint", "MAX_EXACT", "MalformedCsv",
     "MalformedModel", "MissingManifest", "NonFinite", "NotSymmetric",
     "PairingMismatch", "SingularMatrix", "TooFewSamples", "TooLarge",
     "TransferModel", "TransferReport", "TransitionDataset", "__version__",
     "affinity_score", "apply", "at_map", "check_paired", "dataset_fingerprint",
     "empirical_w2", "estimate_moments", "evaluate", "evaluate_pointwise", "fit",
     "gaussian_ot_map", "gaussian_w2", "gelbrich_gap_bound", "gen_linear",
-    "gen_puck", "load_csv", "load_model", "normal_approx_bound",
-    "pointwise_error", "procrustes", "rng_stream", "save_dataset", "save_model",
+    "gen_puck", "learning_curve", "load_csv", "load_model", "normal_approx_bound",
+    "pair_specs", "pointwise_error", "procrustes", "rng_stream", "save_dataset", "save_model",
     "spd_sqrt", "split", "subset",
 }
 
 
 def test_public_names_are_the_modules_all_lists():
     names = affine_transport.__all__
-    assert len(names) == len(set(names)) == 50
+    assert len(names) == len(set(names)) == 53
     assert set(names) == PUBLIC
     for name in names:
         assert hasattr(affine_transport, name), name

@@ -252,6 +252,29 @@ def test_affinity_rejects_constant_target():
         affinity_score(np.zeros((10, 2)), np.zeros((9, 2)))
 
 
+def test_fit_and_evaluate_reject_constant_target_before_any_solve(monkeypatch):
+    import affine_transport.discrete_ot as discrete_ot
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an assignment solve ran")
+
+    monkeypatch.setattr(discrete_ot, "linear_sum_assignment", refuse)
+    src, tgt = linear_pair(13, 50)
+    model = fit(src, tgt)
+    rows = np.ones((50, 8))
+    rows[::2, 0], rows[1::2, 0] = -0.0, 0.0  # equal, though their bits differ
+    for value in (1.0, 0.1):
+        constant = TransitionDataset(3, 2, rows * value)
+        with pytest.raises(DegenerateInput, match="target samples are all identical"):
+            fit(src, constant)
+        with pytest.raises(DegenerateInput, match="target samples are all identical"):
+            evaluate(model, src, constant)
+    # one differing cell is spread enough
+    spread = rows.copy()
+    spread[7, 5] = 2.0
+    assert fit(src, TransitionDataset(3, 2, spread)).meta.n_fit == 50
+
+
 def test_evaluate_on_fit_data_flag():
     src, tgt = linear_pair(12, 300, target_scales=np.array([2.0, 1.0, 0.5]))
     model = fit(src, tgt)
