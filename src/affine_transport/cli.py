@@ -305,7 +305,10 @@ def cmd_fit(args) -> int:
     model = fit(src, tgt)
     frob = float(np.linalg.norm(model.composed.matrix))
     # scored before the model is written, so a failing fit leaves no file
-    rho = repr(affinity_score(apply(model, src.rows), tgt.rows)) if src.n <= MAX_EXACT else "n/a"
+    if src.n <= MAX_EXACT:
+        rho = repr(affinity_score(apply(model, src.rows), tgt.rows))
+    else:
+        rho = "n/a"
     save_model(model, out)
     log.info("wrote model to %s", out)
     print(
@@ -345,7 +348,9 @@ def cmd_learning_curve(args) -> int:
     if not sizes or any(s < 2 for s in sizes):
         raise UsageError(f"--sizes needs fit sizes of at least 2, got {args.sizes!r}")
     if not 0.0 < args.holdout_fraction < 1.0:
-        raise UsageError(f"--holdout-fraction must be in (0, 1), got {args.holdout_fraction}")
+        raise UsageError(
+            f"--holdout-fraction must be in (0, 1), got {args.holdout_fraction}"
+        )
     src, tgt = load_csv(args.source), load_csv(args.target)
     check_paired(src, tgt)
     fractions = (1.0 - args.holdout_fraction, args.holdout_fraction)

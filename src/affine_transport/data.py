@@ -217,8 +217,16 @@ class DomainSpec:
         return cls(**doc)
 
 
-_PAIR_SPEC_KEYS = {"kind", "n", "state_dim", "action_dim", "dynamics", "controls",
-                   "source", "target"}
+_PAIR_SPEC_KEYS = {
+    "kind",
+    "n",
+    "state_dim",
+    "action_dim",
+    "dynamics",
+    "controls",
+    "source",
+    "target",
+}
 
 
 def pair_specs(doc: dict, seed: int):

@@ -235,7 +235,12 @@ def fit(source: TransitionDataset, target: TransitionDataset) -> TransferModel:
     # a stack of one through the kernel the learning curve stacks
     r, a, b = (m[0] for m in _fit_moments(n, mean_s[None], mean_t[None], gram[None]))
     at = AffineMap(a, b)
-    meta = FitMeta(source.n, source.seed, dataset_fingerprint(source), dataset_fingerprint(target))
+    meta = FitMeta(
+        n_fit=source.n,
+        seed=source.seed,
+        source_hash=dataset_fingerprint(source),
+        target_hash=dataset_fingerprint(target),
+    )
     return TransferModel(r, at, source.state_dim, source.action_dim, meta)
 
 
@@ -245,7 +250,9 @@ def apply(model: TransferModel, triplets: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != model.dim:
-        raise DimensionMismatch(f"triplets have width {x.shape[-1]}, model expects {model.dim}")
+        raise DimensionMismatch(
+            f"triplets have width {x.shape[-1]}, model expects {model.dim}"
+        )
     return model.composed.apply(x)
 
 
@@ -323,17 +330,20 @@ def evaluate_pointwise(
     """
     _check_eval_inputs(model.dim, source, target)
     before = pointwise_error(source.next_states, target.next_states)
-    transported, after = _error_after(model.composed.matrix, model.composed.offset, source, target)
+    composed, sd = model.composed, model.state_dim
+    transported, after = _error_after(composed.matrix, composed.offset, sd, source, target)
     return (before[0], before[1]), after, transported
 
 
-def _error_after(matrix, offset, source: TransitionDataset, target: TransitionDataset):
+def _error_after(matrix, offset, state_dim: int, source, target):
     """``(transported, (mean, std))``: the source rows under x -> matrix x + offset,
-    as ``AffineMap.apply`` maps them, and their next-state error against the target.
+    as ``AffineMap.apply`` maps them, and the error of their last ``state_dim``
+    columns, the map's next states, against the target's next states.
+    DimensionMismatch if the map's state dimension is not the target's.
     ``evaluate_pointwise`` and ``learning_curve`` both score a map through it, so
     they agree bit for bit."""
     transported = source.rows @ matrix.T + offset
-    mean, std, _ = pointwise_error(transported[:, -target.state_dim :], target.next_states)
+    mean, std, _ = pointwise_error(transported[:, -state_dim:], target.next_states)
     return transported, (mean, std)
 
 
@@ -381,9 +391,13 @@ class LearningCurvePoint:
 
 
 def learning_curve(
-    pool_s: TransitionDataset, pool_t: TransitionDataset,
-    hold_s: TransitionDataset, hold_t: TransitionDataset,
-    sizes, repeats: int, seed: int,
+    pool_s: TransitionDataset,
+    pool_t: TransitionDataset,
+    hold_s: TransitionDataset,
+    hold_t: TransitionDataset,
+    sizes,
+    repeats: int,
+    seed: int,
 ) -> list[LearningCurvePoint]:
     """Held-out pointwise error of fits on seeded subsamples of a paired pool.
 
@@ -403,10 +417,12 @@ def learning_curve(
         if size < 2:
             raise TooFewSamples(f"need at least 2 paired rows to fit, got fit size {size}")
         if size > pool_s.n:
-            raise BadSpec(f"fit size {size} exceeds the {pool_s.n} rows available after holdout")
+            raise BadSpec(
+                f"fit size {size} exceeds the {pool_s.n} rows available after holdout"
+            )
     check_paired(pool_s, pool_t)
     _check_eval_inputs(pool_s.width, hold_s, hold_t)
-    w = pool_s.width
+    w, sd = pool_s.width, pool_s.state_dim
     block = max(1, min(repeats, _CURVE_BLOCK))
     # one block's moments, filled in place for every block: allocating them
     # per repeat, between each repeat's short-lived gathered rows, fragments
@@ -429,7 +445,7 @@ def learning_curve(
             _check_maps(r, a)
             # one map at a time, so the curve holds one transported copy of the holdout
             for rep, matrix, offset in zip(reps, a @ r, b):
-                errors[rep] = _error_after(matrix, offset, hold_s, hold_t)[1][0]
+                errors[rep] = _error_after(matrix, offset, sd, hold_s, hold_t)[1][0]
         points.append(LearningCurvePoint(size, float(errors.mean()), float(errors.std()), repeats))
     return points
 

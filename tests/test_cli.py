@@ -431,6 +431,25 @@ def test_eval_dimension_mismatch_exit_code(tmp_path):
     assert code == 4
 
 
+def test_eval_state_dim_mismatch_of_equal_width_exit_code(tmp_path, capsys):
+    # (3, 2) and (2, 4) both give rows of width 8: only the next states differ
+    pairs = {}
+    for name, d, k in (("fit", 3, 2), ("eval", 2, 4)):
+        pairs[name] = tmp_path / name
+        pairs[name].mkdir()
+        assert run("synth", "--kind", "linear", "--n", 50, "--state-dim", d,
+                   "--action-dim", k, "--out", pairs[name]) == 0
+    model_path = tmp_path / "model.json"
+    assert run("fit", "--source", pairs["fit"] / "source.csv",
+               "--target", pairs["fit"] / "target.csv", "--out", model_path) == 0
+    capsys.readouterr()
+    code = run("eval", "--model", model_path, "--source", pairs["eval"] / "source.csv",
+               "--target", pairs["eval"] / "target.csv", "--out", tmp_path / "r.json")
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error[DimensionMismatch]")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_learning_curve_single_point_matches_eval(tmp_path):
     out = synth_linear(tmp_path, "pair", n=400, seed=5)
     curve_path = tmp_path / "curve.json"
