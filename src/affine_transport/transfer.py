@@ -12,8 +12,11 @@ Both stages read only the pair's first and second moments: n, the two means
 and the centred Gram of the side-by-side rows ``[source | target]``. R is
 the polar factor of its cross block, and the transport is fitted between the
 rotated source moments and the target moments. ``fit`` accumulates the Gram
-over row chunks, and the moments-to-map kernel runs on a stack of pairs, so
-the learning curve fits all repeats of one size in one call.
+over row chunks. The moments, the moments-to-map kernel and the next-state
+scoring each run on a stack of pairs or maps, and ``fit`` and
+``evaluate_pointwise`` call them with a stack of one, so the learning curve
+scores a whole block of repeats in one pass and still agrees with them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +37,14 @@ from .data import (
     rng_stream,
 )
 from .discrete_ot import empirical_w2, pointwise_error
-from .errors import BadSpec, DegenerateInput, DimensionMismatch, MalformedModel, TooFewSamples
+from .errors import (
+    BadSpec,
+    DegenerateInput,
+    DimensionMismatch,
+    MalformedModel,
+    NonFinite,
+    TooFewSamples,
+)
 # at_map is not called here; it stays bound because perfbench/tracing.py
 # wraps transfer.at_map
 from .gaussian_ot import (
@@ -76,6 +86,12 @@ _GRAM_CHUNK = 1 << 16
 # working set stays one block's whatever --repeats is.
 _CURVE_BLOCK = 20
 
+# bytes of rows in one stack the curve gathers or scores: a block's repeats
+# are gathered and their maps scored in stacks of at most this size, so a
+# holdout larger than this is scored one map at a time, as
+# evaluate_pointwise scores its one
+_STACK_BYTES = 1 << 17
+
 
 def procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Orthogonal matrix R minimizing |R @ source - target| in Frobenius norm.
@@ -104,26 +120,29 @@ def _polar(m: np.ndarray) -> np.ndarray:
 
 
 def _paired_moments(xs: np.ndarray, xt: np.ndarray):
-    """``(n, mean_s, mean_t, gram)`` of paired (n, w) row sets, where gram is
-    the (2w, 2w) sum of outer products of the centred rows ``[xs | xt]``.
+    """``(n, mean_s, mean_t, gram)`` of paired row sets, stacks (..., n, w),
+    where gram is the (..., 2w, 2w) sum of outer products of the centred rows
+    ``[xs | xt]`` of each pair.
 
-    The Gram is summed over chunks of at most ``_GRAM_CHUNK`` bytes, so no
-    centred copy of the rows is made. Raises TooFewSamples below 2 rows.
+    The Gram is summed over chunks of at most ``_GRAM_CHUNK`` bytes of each
+    pair's rows, so no centred copy of the rows is made. Raises TooFewSamples
+    below 2 rows.
     """
-    n, w = xs.shape
+    *stack, n, w = xs.shape
     if n < 2:
         raise TooFewSamples(f"need at least 2 paired rows to fit, got {n}")
     step = max(1, _GRAM_CHUNK // (16 * w))
     # finite rows can still overflow their moments; the kernel rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_s, mean_t = xs.mean(axis=0), xt.mean(axis=0)
-        gram = np.zeros((2 * w, 2 * w))
-        buf = np.empty((min(n, step), 2 * w))
+        mean_s, mean_t = xs.mean(axis=-2), xt.mean(axis=-2)
+        gram = np.zeros((*stack, 2 * w, 2 * w))
+        buf = np.empty((*stack, min(n, step), 2 * w))
         for start in range(0, n, step):
-            z = buf[: min(step, n - start)]
-            np.subtract(xs[start : start + len(z)], mean_s, out=z[:, :w])
-            np.subtract(xt[start : start + len(z)], mean_t, out=z[:, w:])
-            gram += z.T @ z
+            z = buf[..., : min(step, n - start), :]
+            rows = slice(start, start + z.shape[-2])
+            np.subtract(xs[..., rows, :], mean_s[..., None, :], out=z[..., :w])
+            np.subtract(xt[..., rows, :], mean_t[..., None, :], out=z[..., w:])
+            gram += np.swapaxes(z, -1, -2) @ z
     return n, mean_s, mean_t, gram
 
 
@@ -230,10 +249,10 @@ def fit(source: TransitionDataset, target: TransitionDataset) -> TransferModel:
     are all equal.
     """
     check_paired(source, target)
-    n, mean_s, mean_t, gram = _paired_moments(source.rows, target.rows)
+    # a stack of one through the moments and the kernel the learning curve stacks
+    moments = _paired_moments(source.rows[None], target.rows[None])
     _require_spread(target.rows)
-    # a stack of one through the kernel the learning curve stacks
-    r, a, b = (m[0] for m in _fit_moments(n, mean_s[None], mean_t[None], gram[None]))
+    r, a, b = (m[0] for m in _fit_moments(*moments))
     at = AffineMap(a, b)
     meta = FitMeta(
         n_fit=source.n,
@@ -330,21 +349,41 @@ def evaluate_pointwise(
     """
     _check_eval_inputs(model.dim, source, target)
     before = pointwise_error(source.next_states, target.next_states)
-    composed, sd = model.composed, model.state_dim
-    transported, after = _error_after(composed.matrix, composed.offset, sd, source, target)
-    return (before[0], before[1]), after, transported
+    composed = model.composed
+    # a stack of one map through the scoring the learning curve stacks
+    transported, errors = _next_state_errors(
+        composed.matrix[None], composed.offset[None], model.state_dim, source, target
+    )
+    # an error that overflows gives an inf mean and a NaN std, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        after = float(errors.mean()), float(errors.std())
+    return (before[0], before[1]), after, transported[0]
 
 
-def _error_after(matrix, offset, state_dim: int, source, target):
-    """``(transported, (mean, std))``: the source rows under x -> matrix x + offset,
-    as ``AffineMap.apply`` maps them, and the error of their last ``state_dim``
-    columns, the map's next states, against the target's next states.
-    DimensionMismatch if the map's state dimension is not the target's.
-    ``evaluate_pointwise`` and ``learning_curve`` both score a map through it, so
-    they agree bit for bit."""
-    transported = source.rows @ matrix.T + offset
-    mean, std, _ = pointwise_error(transported[:, -state_dim:], target.next_states)
-    return transported, (mean, std)
+def _next_state_errors(matrices, offsets, state_dim: int, source, target):
+    """``(transported, errors)`` of a stack of maps x -> matrix x + offset,
+    (k, w, w) matrices and (k, w) offsets: the source rows under each map,
+    (k, m, w), as ``AffineMap.apply`` maps them, and the (k, m) per-row
+    Euclidean errors of their last ``state_dim`` columns, the map's next
+    states, against the target's next states.
+
+    DimensionMismatch if the map's state dimension is not the target's, and
+    NonFinite if a predicted next state is not finite. An error that
+    overflows is inf, not a numpy warning. ``evaluate_pointwise`` and
+    ``learning_curve`` both score maps through it, so they agree bit for bit.
+    """
+    if state_dim != target.state_dim:
+        raise DimensionMismatch(f"sample widths differ: {state_dim} vs {target.state_dim}")
+    transported = source.rows @ np.swapaxes(matrices, -1, -2)
+    transported += offsets[:, None, :]
+    predicted = transported[..., -state_dim:]
+    _require_finite(predicted, "predicted")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # np.linalg.norm(diff, axis=-1), squared in place instead of in two copies
+        diff = predicted - target.next_states
+        np.multiply(diff, diff, out=diff)
+        errors = np.add.reduce(diff, axis=-1)
+        return transported, np.sqrt(errors, out=errors)
 
 
 def evaluate(
@@ -404,12 +443,15 @@ def learning_curve(
     For each size, ``repeats`` fits on rows drawn without replacement from
     the pool are scored on the fixed holdout by their mean next-state error,
     as ``evaluate_pointwise`` scores ``fit`` of the same rows, bit for bit.
-    Each repeat is reduced to its paired moments, and the moments of up to
-    ``_CURVE_BLOCK`` repeats are fitted by one call of the stacked kernel.
-    Only the pointwise part of the evaluation runs, so no transport is solved
-    and the holdout is not limited by the exact solver's cap. Raises BadSpec
-    for ``repeats`` below 1 or a size above the pool, and TooFewSamples for a
-    size below 2.
+    Each block of up to ``_CURVE_BLOCK`` repeats is one stacked pass: the
+    drawn rows are gathered and reduced to paired moments, one call of the
+    stacked kernel fits them, and the maps are scored on the holdout. Rows
+    are gathered and maps scored in stacks of at most ``_STACK_BYTES``
+    bytes of rows, so a large holdout is scored one map at a time. Only the
+    pointwise part of the evaluation runs, so no transport is solved and the
+    holdout is not limited by the exact solver's cap. Raises BadSpec for
+    ``repeats`` below 1 or a size above the pool, TooFewSamples for a size
+    below 2, and NonFinite if a held-out error overflows.
     """
     if repeats < 1:
         raise BadSpec(f"repeats must be positive, got {repeats}")
@@ -424,29 +466,41 @@ def learning_curve(
     _check_eval_inputs(pool_s.width, hold_s, hold_t)
     w, sd = pool_s.width, pool_s.state_dim
     block = max(1, min(repeats, _CURVE_BLOCK))
+    per_score = max(1, _STACK_BYTES // hold_s.rows.nbytes)
     # one block's moments, filled in place for every block: allocating them
-    # per repeat, between each repeat's short-lived gathered rows, fragments
+    # per stack, between each stack's short-lived gathered rows, fragments
     # the heap and raises the peak RSS
     mean_s, mean_t = np.empty((block, w)), np.empty((block, w))
     gram = np.empty((block, 2 * w, 2 * w))
     points = []
     for size in sizes:
         errors = np.empty(repeats)
+        per_gather = max(1, _STACK_BYTES // (16 * w * size))
         for start in range(0, repeats, block):
-            reps = range(start, min(start + block, repeats))
-            for j, rep in enumerate(reps):
-                idx = np.sort(
-                    rng_stream(seed, "curve", size, rep).choice(pool_s.n, size=size, replace=False)
+            k = min(block, repeats - start)
+            for i in range(0, k, per_gather):
+                sub = slice(i, min(i + per_gather, k))
+                draws = (rng_stream(seed, "curve", size, start + j) for j in range(i, sub.stop))
+                idx = np.stack([d.choice(pool_s.n, size=size, replace=False) for d in draws])
+                idx.sort(axis=-1)
+                _, mean_s[sub], mean_t[sub], gram[sub] = _paired_moments(
+                    pool_s.rows[idx], pool_t.rows[idx]
                 )
-                moments = _paired_moments(pool_s.rows[idx], pool_t.rows[idx])
-                _, mean_s[j], mean_t[j], gram[j] = moments
-            k = len(reps)
             r, a, b = _fit_moments(size, mean_s[:k], mean_t[:k], gram[:k])
             _check_maps(r, a)
-            # one map at a time, so the curve holds one transported copy of the holdout
-            for rep, matrix, offset in zip(reps, a @ r, b):
-                errors[rep] = _error_after(matrix, offset, sd, hold_s, hold_t)[1][0]
-        points.append(LearningCurvePoint(size, float(errors.mean()), float(errors.std()), repeats))
+            maps = a @ r
+            for i in range(0, k, per_score):
+                sub = slice(i, min(i + per_score, k))
+                per_row = _next_state_errors(maps[sub], b[sub], sd, hold_s, hold_t)[1]
+                with np.errstate(over="ignore"):
+                    errors[start + i : start + sub.stop] = per_row.mean(axis=-1)
+        # an error that overflows makes an inf mean and a NaN std: no numpy
+        # warning, and no curve
+        with np.errstate(over="ignore", invalid="ignore"):
+            point = LearningCurvePoint(size, float(errors.mean()), float(errors.std()), repeats)
+        if not np.isfinite([point.mean_error, point.std_error]).all():
+            raise NonFinite("held-out next-state errors overflow")
+        points.append(point)
     return points
 
 

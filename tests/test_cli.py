@@ -484,13 +484,14 @@ def test_learning_curve_single_point_matches_eval(tmp_path):
 
 
 def test_learning_curve_matches_single_fits_bit_for_bit(tmp_path):
+    # 25 repeats: a full block of 20 stacked repeats and a partial one of 5
     out = tmp_path / "pair"
     out.mkdir()
     assert run("synth", "--kind", "puck", "--n", 400, "--seed", 6, "--noise", "0.01",
                "--target-curl", "0.3", "--out", out) == 0
     curve_path = tmp_path / "curve.json"
     assert run("learning-curve", "--source", out / "source.csv", "--target", out / "target.csv",
-               "--sizes", "8,128", "--repeats", "1", "--seed", 6, "--out", curve_path) == 0
+               "--sizes", "8,128", "--repeats", "25", "--seed", 6, "--out", curve_path) == 0
     points = json.loads(curve_path.read_text())
 
     src, tgt = load_csv(out / "source.csv"), load_csv(out / "target.csv")
@@ -498,11 +499,28 @@ def test_learning_curve_matches_single_fits_bit_for_bit(tmp_path):
     pool_t, hold_t = split(tgt, (0.75, 0.25), 6)
     assert pool_s.n == 300
     for point, size in zip(points, (8, 128)):
-        idx = np.sort(rng_stream(6, "curve", size, 0).choice(pool_s.n, size=size, replace=False))
-        model = fit(subset(pool_s, idx), subset(pool_t, idx))
-        _, error_after, _ = evaluate_pointwise(model, hold_s, hold_t)
+        errors = []
+        for rep in range(25):
+            draw = rng_stream(6, "curve", size, rep).choice(pool_s.n, size=size, replace=False)
+            idx = np.sort(draw)
+            model = fit(subset(pool_s, idx), subset(pool_t, idx))
+            errors.append(evaluate_pointwise(model, hold_s, hold_t)[1][0])
+        errors = np.array(errors)
         assert point["n_fit"] == size
-        assert point["mean_error"] == error_after[0]
+        assert point["mean_error"] == float(errors.mean())
+        assert point["std_error"] == float(errors.std())
+
+
+def test_learning_curve_stack_size_changes_no_bit(monkeypatch):
+    # stacks of one or two repeats and maps give the points of the default stacks
+    from affine_transport import transfer
+
+    pool_s, pool_t, hold_s, hold_t = _curve_pools()
+    args = (pool_s, pool_t, hold_s, hold_t, [8, 32, 75], 7, 4)
+    default = learning_curve(*args)
+    for stack_bytes in (1, 2 * hold_s.rows.nbytes):
+        monkeypatch.setattr(transfer, "_STACK_BYTES", stack_bytes)
+        assert learning_curve(*args) == default
 
 
 def test_learning_curve_fits_each_size_in_one_kernel_call(monkeypatch):
@@ -888,16 +906,44 @@ def test_overflowing_synth_prints_one_error(tmp_path, capsys, flags):
     assert len(err) == 1 and err[0].startswith("error[NonFinite]: ")
 
 
-@pytest.mark.parametrize("command", ["fit", "score"])
+@pytest.mark.parametrize(
+    "command",
+    [["fit"], ["score"], ["learning-curve", "--sizes", "8", "--repeats", "3"]],
+    ids=["fit", "score", "learning-curve"],
+)
 def test_overflowing_covariance_prints_one_error(tmp_path, capsys, command):
     # finite rows whose covariance overflows: no numpy warning comes first
     pair = synth_linear(tmp_path, "pair", n=20, extra=("--target-scales", "1e200,1,1"))
     capsys.readouterr()
-    code = run(command, "--source", pair / "source.csv", "--target", pair / "target.csv",
+    code = run(*command, "--source", pair / "source.csv", "--target", pair / "target.csv",
                "--out", tmp_path / "out.json")
     err = capsys.readouterr().err.splitlines()
     assert (code, len(err)) == (5, 1)
     assert err[0].startswith("error[NonFinite]: ")
+
+
+def test_learning_curve_overflowing_holdout_error_prints_one_error(tmp_path, capsys):
+    # a0 = 1e308 in one held-out row of both files: its predicted next state is
+    # finite, but its error overflows. No numpy warning and no curve with an
+    # infinite mean error
+    pair = tmp_path / "pair"
+    pair.mkdir()
+    assert run("synth", "--kind", "puck", "--n", 2048, "--seed", 3, "--out", pair) == 0
+    row = 619
+    assert row in rng_stream(3, "split").permutation(2048)[1536:]  # the holdout's rows
+    for side in ("source", "target"):
+        path = pair / f"{side}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[1 + row].split(",")
+        cells[2] = "1e308"  # s0,s1,a0,...
+        lines[1 + row] = ",".join(cells)
+        path.write_text("".join(lines))
+    capsys.readouterr()
+    code = run("learning-curve", "--source", pair / "source.csv", "--target",
+               pair / "target.csv", "--seed", 3, "--out", tmp_path / "curve.json")
+    err = capsys.readouterr().err.splitlines()
+    assert (code, err) == (5, ["error[NonFinite]: held-out next-state errors overflow"])
+    assert not (tmp_path / "curve.json").exists()
 
 
 def test_overflowing_distances_print_one_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Peak memory of the bulk path: reading, writing and fitting a dataset each
 hold a small multiple of its rows, never a copy of its text. The learning
-curve's peak does not grow with its repeat count.
+curve's peak does not grow with its repeat count, and is a small multiple of
+its holdout's rows.
 
 tracemalloc sees numpy's buffers as well as Python objects. The peak counts
 what the call returns, so reading a dataset costs at least its rows once.
@@ -25,6 +26,9 @@ MAX_LOAD_ROWS_MULTIPLE = 1.2
 MAX_FIT_ROWS_MULTIPLE = 0.15
 # bytes the learning curve's peak may grow by from 20 to 2000 repeats
 MAX_CURVE_GROWTH = 1 << 20
+# the curve scores a holdout this large one map at a time, with the errors
+# squared in place; it peaks at 1.7x of the held-out rows
+MAX_CURVE_HOLDOUT_MULTIPLE = 2.5
 # the fingerprint hashes the rows in place
 MAX_FINGERPRINT_ROWS_MULTIPLE = 0.1
 
@@ -83,3 +87,16 @@ def test_learning_curve_peak_does_not_grow_with_repeats():
     few = _peak_bytes(learning_curve, *args, [8], 20, 5)
     many = _peak_bytes(learning_curve, *args, [8], 2000, 5)
     assert many - few <= MAX_CURVE_GROWTH, f"peak {few} bytes at 20 repeats, {many} at 2000"
+
+
+def test_learning_curve_peak_is_a_small_multiple_of_the_holdout():
+    # 20 repeats make one block, but its maps are not all scored at once
+    source, target = linear_pair(3, 2048 + N, noise=0.01, target_scales=(2.0, 0.5, 1.3))
+    pool, hold = np.arange(2048), np.arange(2048, 2048 + N)
+    hold_s, hold_t = subset(source, hold), subset(target, hold)
+    args = (subset(source, pool), subset(target, pool), hold_s, hold_t)
+    peak = _peak_bytes(learning_curve, *args, [8, 32, 128, 512], 20, 5)
+    assert peak <= MAX_CURVE_HOLDOUT_MULTIPLE * hold_s.rows.nbytes, (
+        f"learning_curve peaked at {peak / hold_s.rows.nbytes:.2f}x the holdout's "
+        f"{hold_s.rows.nbytes} bytes"
+    )
