@@ -10,11 +10,13 @@ and the optimal map is affine, x -> A x + b, with
 
 The affine transport map between two arbitrary sample sets is this optimal
 map between their normal (moment) approximations, as ``estimate_moments``
-gives them. Two bounds relate the Gaussian picture back to the raw
-distributions: a gap bound for the distance between normal approximations
-versus the true distance, and a worst-case bound sqrt(2 tr S) for the distance
-between any distribution and anything sharing its normal approximation's
-covariance budget.
+gives them. Every mean and covariance comes from one reducer, ``_moments``:
+the centred Gram of side-by-side row sets, summed over row chunks without a
+centred copy (``transfer.fit`` reduces a pair with it). Two bounds relate the
+Gaussian picture back to the raw distributions: a gap bound for the distance
+between normal approximations versus the true distance, and a worst-case
+bound sqrt(2 tr S) for the distance between any distribution and anything
+sharing its normal approximation's covariance budget.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ class GaussianModel:
 RIDGE_FLOOR = 1e-10
 RIDGE_SCALE = 1e-9
 
+# bytes of centred rows a Gram is accumulated from at a time
+_GRAM_CHUNK = 1 << 16
+
 
 def estimate_moments(samples: np.ndarray) -> GaussianModel:
     """Normal approximation of a sample set: its mean and a ridged covariance.
@@ -88,15 +93,34 @@ def estimate_moments(samples: np.ndarray) -> GaussianModel:
         If fewer than two rows are given.
     """
     x = sample_matrix(samples, "samples")
-    n = x.shape[0]
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 samples to estimate moments, got {n}")
-    # finite samples can still overflow the covariance; _root rejects the
-    # result once, where the covariance is used
+    if x.shape[0] < 2:
+        raise TooFewSamples(f"need at least 2 samples to estimate moments, got {x.shape[0]}")
+    n, (mean,), gram = _moments(x)
+    # an overflowing covariance is rejected once, by _root where it is used
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0)
-        dev = x - mean
-        return GaussianModel(mean, _ridged(dev.T @ dev / n))
+        return GaussianModel(mean, _ridged(gram / n))
+
+
+def _moments(*sides: np.ndarray):
+    """``(n, means, gram)`` of stacks (..., n, w_i) of rows taken side by side:
+    a tuple of their means and the Gram of the centred ``[side_1 | side_2 ...]``,
+    summed over chunks of at most ``_GRAM_CHUNK`` bytes of centred rows, so no
+    centred copy is made. Overflow is left in the result, not warned about."""
+    *stack, n, _ = sides[0].shape
+    edges = np.cumsum([0] + [side.shape[-1] for side in sides])
+    width = int(edges[-1])
+    step = max(1, _GRAM_CHUNK // max(8, 8 * width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = tuple(side.mean(axis=-2) for side in sides)
+        gram = np.zeros((*stack, width, width))
+        buf = np.empty((*stack, min(n, step), width))
+        for start in range(0, n, step):
+            z = buf[..., : min(step, n - start), :]
+            rows = slice(start, start + z.shape[-2])
+            for side, mean, lo, hi in zip(sides, means, edges, edges[1:]):
+                np.subtract(side[..., rows, :], mean[..., None, :], out=z[..., lo:hi])
+            gram += np.swapaxes(z, -1, -2) @ z
+    return n, means, gram
 
 
 def _ridged(cov: np.ndarray) -> np.ndarray:

@@ -9,14 +9,14 @@ the target absorbs the remaining stretch and shift. The composed map is
 invertible linear relation through its polar factorization.
 
 Both stages read only the pair's first and second moments: n, the two means
-and the centred Gram of the side-by-side rows ``[source | target]``. R is
-the polar factor of its cross block, and the transport is fitted between the
-rotated source moments and the target moments. ``fit`` accumulates the Gram
-over row chunks. The moments, the moments-to-map kernel and the next-state
-scoring each run on a stack of pairs or maps, and ``fit`` and
-``evaluate_pointwise`` call them with a stack of one, so the learning curve
-scores a whole block of repeats in one pass and still agrees with them bit
-for bit.
+and the centred Gram of the side-by-side rows ``[source | target]``, reduced
+by ``gaussian_ot._moments`` as ``estimate_moments`` reduces one set. R is the
+polar factor of its cross block, and the transport is fitted between the
+rotated source moments and the target moments. The moments, the
+moments-to-map kernel and the next-state scoring each run on a stack of pairs
+or maps, and ``fit`` and ``evaluate_pointwise`` call them with a stack of
+one, so the learning curve scores a whole block of repeats in one pass and
+still agrees with them bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .data import (
     dataset_fingerprint,
     rng_stream,
 )
-from .discrete_ot import empirical_w2, pointwise_error
+from .discrete_ot import _row_norms, empirical_w2, pointwise_error
 from .errors import (
     BadSpec,
     DegenerateInput,
@@ -49,6 +49,7 @@ from .errors import (
 # wraps transfer.at_map
 from .gaussian_ot import (
     AffineMap,
+    _moments,
     _ot_affine,
     _ridged,
     at_map,
@@ -77,9 +78,6 @@ MODEL_FORMAT_VERSION = 1
 
 _ORTHO_TOL = 1e-8
 _PSD_TOL = 1e-8
-
-# bytes of centred rows the paired Gram is accumulated from at a time
-_GRAM_CHUNK = 1 << 16
 
 # repeats of one fit size that one kernel call fits. It is the default
 # --repeats, so a default curve makes one call per size, and the curve's
@@ -119,38 +117,11 @@ def _polar(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _paired_moments(xs: np.ndarray, xt: np.ndarray):
-    """``(n, mean_s, mean_t, gram)`` of paired row sets, stacks (..., n, w),
-    where gram is the (..., 2w, 2w) sum of outer products of the centred rows
-    ``[xs | xt]`` of each pair.
-
-    The Gram is summed over chunks of at most ``_GRAM_CHUNK`` bytes of each
-    pair's rows, so no centred copy of the rows is made. Raises TooFewSamples
-    below 2 rows.
-    """
-    *stack, n, w = xs.shape
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 paired rows to fit, got {n}")
-    step = max(1, _GRAM_CHUNK // (16 * w))
-    # finite rows can still overflow their moments; the kernel rejects them
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_s, mean_t = xs.mean(axis=-2), xt.mean(axis=-2)
-        gram = np.zeros((*stack, 2 * w, 2 * w))
-        buf = np.empty((*stack, min(n, step), 2 * w))
-        for start in range(0, n, step):
-            z = buf[..., : min(step, n - start), :]
-            rows = slice(start, start + z.shape[-2])
-            np.subtract(xs[..., rows, :], mean_s[..., None, :], out=z[..., :w])
-            np.subtract(xt[..., rows, :], mean_t[..., None, :], out=z[..., w:])
-            gram += np.swapaxes(z, -1, -2) @ z
-    return n, mean_s, mean_t, gram
-
-
 def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarray):
     """``(R, A, b)`` of the transfer map for each pair in a stack of moments.
 
     ``mean_s`` and ``mean_t`` are (..., w), ``gram`` is (..., 2w, 2w) as
-    ``_paired_moments`` returns them, all pairs of ``n`` rows. R is the polar
+    ``_moments(source, target)`` returns them, all of ``n`` rows. R is the polar
     factor of the cross block; the rotated source moments R mu_s and
     R Sigma_s R^T and the target moments are ridged as ``estimate_moments``
     ridges them, and (A, b) is the Gaussian optimal map between them.
@@ -242,17 +213,19 @@ def fit(source: TransitionDataset, target: TransitionDataset) -> TransferModel:
     """Fit a transfer map from paired source and target transition datasets.
 
     Rows with the same index must come from the same (state, action) pair.
-    The fit reads only the pair's moments (``_paired_moments``): the
-    Procrustes rotation R is the polar factor of the cross-covariance of the
-    centred rows, and affine transport is fitted from the rotated source
-    moments to the target moments. Raises DegenerateInput if the target rows
-    are all equal.
+    The fit reads only the pair's moments (``_moments``): the Procrustes
+    rotation R is the polar factor of the cross-covariance of the centred
+    rows, and affine transport is fitted from the rotated source moments to
+    the target moments. Raises TooFewSamples below 2 rows and DegenerateInput
+    if the target rows are all equal.
     """
     check_paired(source, target)
+    if source.n < 2:
+        raise TooFewSamples(f"need at least 2 paired rows to fit, got {source.n}")
     # a stack of one through the moments and the kernel the learning curve stacks
-    moments = _paired_moments(source.rows[None], target.rows[None])
+    n, means, gram = _moments(source.rows[None], target.rows[None])
     _require_spread(target.rows)
-    r, a, b = (m[0] for m in _fit_moments(*moments))
+    r, a, b = (m[0] for m in _fit_moments(n, *means, gram))
     at = AffineMap(a, b)
     meta = FitMeta(
         n_fit=source.n,
@@ -345,19 +318,26 @@ def evaluate_pointwise(
     Runs every input check ``evaluate`` runs and costs O(n). Returns
     ``(error_before, error_after, transported)``: the (mean, population std)
     of per-row next-state error of the source and of the transported source
-    against the target, and the transported source rows.
+    against the target, and the transported source rows. Raises NonFinite
+    if either statistic overflows.
     """
     _check_eval_inputs(model.dim, source, target)
-    before = pointwise_error(source.next_states, target.next_states)
+    before = _error_stats(pointwise_error(source.next_states, target.next_states)[2], "source")
     composed = model.composed
     # a stack of one map through the scoring the learning curve stacks
     transported, errors = _next_state_errors(
         composed.matrix[None], composed.offset[None], model.state_dim, source, target
     )
-    # an error that overflows gives an inf mean and a NaN std, not a numpy warning
+    return before, _error_stats(errors, "transported"), transported[0]
+
+
+def _error_stats(errors: np.ndarray, whose: str) -> tuple[float, float]:
+    """(mean, population std) of per-row errors; NonFinite unless both are finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        after = float(errors.mean()), float(errors.std())
-    return (before[0], before[1]), after, transported[0]
+        stats = float(errors.mean()), float(errors.std())
+    if not np.isfinite(stats).all():
+        raise NonFinite(f"{whose} next-state errors overflow")
+    return stats
 
 
 def _next_state_errors(matrices, offsets, state_dim: int, source, target):
@@ -367,23 +347,17 @@ def _next_state_errors(matrices, offsets, state_dim: int, source, target):
     Euclidean errors of their last ``state_dim`` columns, the map's next
     states, against the target's next states.
 
-    DimensionMismatch if the map's state dimension is not the target's, and
-    NonFinite if a predicted next state is not finite. An error that
-    overflows is inf, not a numpy warning. ``evaluate_pointwise`` and
-    ``learning_curve`` both score maps through it, so they agree bit for bit.
+    DimensionMismatch if the map's state dimension is not the target's. A
+    non-finite prediction or an overflowing error gives a non-finite error,
+    not a numpy warning, for ``_error_stats`` to reject. ``evaluate_pointwise``
+    and ``learning_curve`` both score maps through it, so they agree bit for bit.
     """
     if state_dim != target.state_dim:
         raise DimensionMismatch(f"sample widths differ: {state_dim} vs {target.state_dim}")
     transported = source.rows @ np.swapaxes(matrices, -1, -2)
     transported += offsets[:, None, :]
-    predicted = transported[..., -state_dim:]
-    _require_finite(predicted, "predicted")
     with np.errstate(over="ignore", invalid="ignore"):
-        # np.linalg.norm(diff, axis=-1), squared in place instead of in two copies
-        diff = predicted - target.next_states
-        np.multiply(diff, diff, out=diff)
-        errors = np.add.reduce(diff, axis=-1)
-        return transported, np.sqrt(errors, out=errors)
+        return transported, _row_norms(transported[..., -state_dim:] - target.next_states)
 
 
 def evaluate(
@@ -483,7 +457,7 @@ def learning_curve(
                 draws = (rng_stream(seed, "curve", size, start + j) for j in range(i, sub.stop))
                 idx = np.stack([d.choice(pool_s.n, size=size, replace=False) for d in draws])
                 idx.sort(axis=-1)
-                _, mean_s[sub], mean_t[sub], gram[sub] = _paired_moments(
+                _, (mean_s[sub], mean_t[sub]), gram[sub] = _moments(
                     pool_s.rows[idx], pool_t.rows[idx]
                 )
             r, a, b = _fit_moments(size, mean_s[:k], mean_t[:k], gram[:k])
@@ -494,13 +468,7 @@ def learning_curve(
                 per_row = _next_state_errors(maps[sub], b[sub], sd, hold_s, hold_t)[1]
                 with np.errstate(over="ignore"):
                     errors[start + i : start + sub.stop] = per_row.mean(axis=-1)
-        # an error that overflows makes an inf mean and a NaN std: no numpy
-        # warning, and no curve
-        with np.errstate(over="ignore", invalid="ignore"):
-            point = LearningCurvePoint(size, float(errors.mean()), float(errors.std()), repeats)
-        if not np.isfinite([point.mean_error, point.std_error]).all():
-            raise NonFinite("held-out next-state errors overflow")
-        points.append(point)
+        points.append(LearningCurvePoint(size, *_error_stats(errors, "held-out"), repeats))
     return points
 
 

@@ -148,6 +148,12 @@ def test_pointwise_single_row():
     assert std == 0.0
 
 
+def test_pointwise_errors_are_the_row_norms_bit_for_bit():
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((257, 5)), 1e3 * rng.standard_normal((257, 5))
+    np.testing.assert_array_equal(pointwise_error(x, y)[2], np.linalg.norm(x - y, axis=1))
+
+
 def test_pointwise_shape_mismatch():
     with pytest.raises(PairingMismatch):
         pointwise_error(np.zeros((3, 2)), np.zeros((4, 2)))

@@ -20,6 +20,7 @@ from affine_transport import (
     normal_approx_bound,
     spd_sqrt,
 )
+from affine_transport.gaussian_ot import _GRAM_CHUNK, _moments
 from helpers import random_gaussian, random_spd, spd_inv_sqrt
 
 seeds = st.integers(0, 2**32 - 1)
@@ -258,3 +259,32 @@ def test_normal_bound_identity():
 
 def test_normal_bound_diagonal():
     assert abs(normal_approx_bound(np.diag([3.0, 6.0])) - np.sqrt(18.0)) <= 1e-12
+
+
+def _plain_moments(*sides):
+    # the definition the chunked reducer must match: centre the side-by-side
+    # rows in one copy and take their Gram
+    z = np.concatenate(sides, axis=-1)
+    z = z - z.mean(axis=-2, keepdims=True)
+    return np.swapaxes(z, -1, -2) @ z
+
+
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("widths", [(3,), (3, 3)], ids=["one-side", "two-sides"])
+def test_chunked_moments_match_the_plain_gram(widths, stack):
+    step = _GRAM_CHUNK // (8 * sum(widths))
+    rng = np.random.default_rng(11)
+    for n in (2, step - 1, step, step + 1, 3 * step + 5):
+        sides = [rng.normal(5.0, 2.0, size=(*stack, n, w)) for w in widths]
+        got_n, means, gram = _moments(*sides)
+        assert got_n == n
+        for side, mean in zip(sides, means):
+            np.testing.assert_allclose(mean, side.mean(axis=-2), rtol=1e-15)
+        want = _plain_moments(*sides)
+        assert gram.shape == want.shape
+        assert np.abs(gram - want).max() <= 1e-12 * np.abs(want).max(), n
+
+
+def test_moments_of_zero_width_samples_are_empty():
+    model = estimate_moments(np.zeros((5, 0)))
+    assert model.mean.shape == (0,) and model.covariance.shape == (0, 0)

@@ -1,7 +1,7 @@
-"""Peak memory of the bulk path: reading, writing and fitting a dataset each
-hold a small multiple of its rows, never a copy of its text. The learning
-curve's peak does not grow with its repeat count, and is a small multiple of
-its holdout's rows.
+"""Peak memory of the bulk path: reading, writing and fitting a dataset, and
+estimating its moments, each hold a small multiple of its rows, never a copy
+of its text or of its centred rows. The learning curve's peak does not grow
+with its repeat count, and is a small multiple of its holdout's rows.
 
 tracemalloc sees numpy's buffers as well as Python objects. The peak counts
 what the call returns, so reading a dataset costs at least its rows once.
@@ -12,7 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affine_transport import dataset_fingerprint, fit, load_csv, save_dataset, subset
+from affine_transport import (
+    at_map,
+    dataset_fingerprint,
+    estimate_moments,
+    fit,
+    load_csv,
+    save_dataset,
+    subset,
+)
 from affine_transport.cli import learning_curve
 from helpers import linear_pair, puck_pair
 
@@ -21,9 +29,9 @@ MAX_ROWS_MULTIPLE = 3.0
 # reading keeps the parsed array itself, so only the chunk loadtxt is parsing
 # and that chunk's finite mask come on top of it
 MAX_LOAD_ROWS_MULTIPLE = 1.2
-# fit reads the rows in place and sums their moments over 64 KiB chunks;
-# it peaks at 0.11x of these rows
-MAX_FIT_ROWS_MULTIPLE = 0.15
+# fit, estimate_moments and at_map read the rows in place and sum their
+# moments over 64 KiB chunks; they peak at 0.11-0.13x of these rows
+MAX_MOMENTS_ROWS_MULTIPLE = 0.15
 # bytes the learning curve's peak may grow by from 20 to 2000 repeats
 MAX_CURVE_GROWTH = 1 << 20
 # the curve scores a holdout this large one map at a time, with the errors
@@ -50,7 +58,9 @@ def _peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("step", ["load_csv", "save_dataset", "save_pair", "fit"])
+@pytest.mark.parametrize(
+    "step", ["load_csv", "save_dataset", "save_pair", "fit", "estimate_moments", "at_map"]
+)
 def test_peak_memory_is_a_small_multiple_of_the_rows(saved_pair, tmp_path, step):
     source, target, path = saved_pair
     calls = {
@@ -58,10 +68,13 @@ def test_peak_memory_is_a_small_multiple_of_the_rows(saved_pair, tmp_path, step)
         "save_dataset": (save_dataset, source, tmp_path / "copy.csv"),
         "save_pair": (save_dataset, source, tmp_path / "copy.csv", (target, tmp_path / "other.csv")),
         "fit": (fit, source, target),
+        "estimate_moments": (estimate_moments, source.rows),
+        "at_map": (at_map, source.rows, target.rows),
     }
-    bound = {"load_csv": MAX_LOAD_ROWS_MULTIPLE, "fit": MAX_FIT_ROWS_MULTIPLE}.get(
-        step, MAX_ROWS_MULTIPLE
-    )
+    bound = {
+        "load_csv": MAX_LOAD_ROWS_MULTIPLE,
+        **dict.fromkeys(("fit", "estimate_moments", "at_map"), MAX_MOMENTS_ROWS_MULTIPLE),
+    }.get(step, MAX_ROWS_MULTIPLE)
     peak = _peak_bytes(*calls[step])
     assert peak <= bound * source.rows.nbytes, (
         f"{step} peaked at {peak / source.rows.nbytes:.2f}x the rows' {source.rows.nbytes} bytes"

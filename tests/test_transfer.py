@@ -13,6 +13,7 @@ from affine_transport import (
     DimensionMismatch,
     FitMeta,
     MalformedModel,
+    NonFinite,
     PairingMismatch,
     TooFewSamples,
     TransferModel,
@@ -328,6 +329,21 @@ def test_pointwise_part_runs_the_input_checks():
     puck_s, puck_t = puck_pair(20, 50)
     with pytest.raises(DimensionMismatch):
         evaluate_pointwise(model, puck_s, puck_t)
+
+
+def test_pointwise_part_rejects_an_overflowing_error():
+    # a0 = 1e308 in one row of both sides: the row's predicted next state is
+    # finite, but its error overflows; no (inf, nan) statistics come back
+    src, tgt = puck_pair(3, 512, noise=0.01)
+    model = fit(src, tgt)
+
+    def edited(data):
+        rows = data.rows.copy()
+        rows[7, 2] = 1e308  # s0, s1, a0, ...
+        return TransitionDataset(data.state_dim, data.action_dim, rows, data.domain_label)
+
+    with pytest.raises(NonFinite, match="^transported next-state errors overflow$"):
+        evaluate_pointwise(model, edited(src), edited(tgt))
 
 
 def test_transported_distance_stays_under_budget():
