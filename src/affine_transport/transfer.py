@@ -36,7 +36,7 @@ from .data import (
     dataset_fingerprint,
     rng_stream,
 )
-from .discrete_ot import _row_norms, empirical_w2, pointwise_error
+from .discrete_ot import _error_stats, _row_norms, empirical_w2, pointwise_error
 from .errors import (
     BadSpec,
     DegenerateInput,
@@ -322,22 +322,16 @@ def evaluate_pointwise(
     if either statistic overflows.
     """
     _check_eval_inputs(model.dim, source, target)
-    before = _error_stats(pointwise_error(source.next_states, target.next_states)[2], "source")
+    try:
+        before = pointwise_error(source.next_states, target.next_states)[:2]
+    except NonFinite:
+        raise NonFinite("source next-state errors overflow") from None
     composed = model.composed
     # a stack of one map through the scoring the learning curve stacks
     transported, errors = _next_state_errors(
         composed.matrix[None], composed.offset[None], model.state_dim, source, target
     )
     return before, _error_stats(errors, "transported"), transported[0]
-
-
-def _error_stats(errors: np.ndarray, whose: str) -> tuple[float, float]:
-    """(mean, population std) of per-row errors; NonFinite unless both are finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = float(errors.mean()), float(errors.std())
-    if not np.isfinite(stats).all():
-        raise NonFinite(f"{whose} next-state errors overflow")
-    return stats
 
 
 def _next_state_errors(matrices, offsets, state_dim: int, source, target):

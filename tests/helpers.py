@@ -40,6 +40,19 @@ def brute_force_w2(x, y):
     return float(np.sqrt(best / n))
 
 
+def scipy_w2(x, y):
+    """Exact W2 from scipy's assignment solver on the unshifted squared
+    distances, summed from the cost matrix; the reference for the package's
+    warm-started solve. A 1-D array is read as one column."""
+    import scipy.optimize
+    import scipy.spatial.distance
+
+    xs, ys = (np.asarray(a, dtype=np.float64).reshape(len(a), -1) for a in (x, y))
+    cost = scipy.spatial.distance.cdist(xs, ys, metric="sqeuclidean")
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(np.sqrt(max(float(cost[rows, cols].sum()) / len(xs), 0.0)))
+
+
 def sample_fit(xs, xt):
     """``(R, A, b)`` of a transfer fit computed from the rows themselves:
     ``procrustes`` on the centred rows, then ``at_map`` from the rotated

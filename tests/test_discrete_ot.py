@@ -1,4 +1,6 @@
-"""Tests for the exact empirical W2 solver, its oracle, and pointwise errors."""
+"""Tests for the exact empirical W2 solver, its oracles, and pointwise errors."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +10,17 @@ import hypothesis.strategies as st
 from affine_transport import (
     DimensionMismatch,
     MAX_EXACT,
+    NonFinite,
     PairingMismatch,
     TooLarge,
+    apply,
+    at_map,
     empirical_w2,
+    evaluate_pointwise,
+    fit,
     pointwise_error,
 )
-from helpers import MAX_BRUTE, brute_force_w2
+from helpers import MAX_BRUTE, brute_force_w2, puck_pair, scipy_w2
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -71,6 +78,71 @@ def test_solve_goes_through_the_module_level_names(monkeypatch):
     got = empirical_w2(x, y)
     assert calls == ["cdist", "linear_sum_assignment"]
     assert got.hex() == expected.hex()
+
+
+def _tied(rng, n, d, distinct):
+    """n rows drawn from ``distinct`` points, so rows repeat and costs tie."""
+    return rng.standard_normal((distinct, d))[rng.integers(0, distinct, size=n)]
+
+
+# inputs on which an auction without guards hangs, warns or overflows: zero
+# costs give a zero step, a single column has no second-best value, equal
+# costs and repeated rows make bids tie, so a round assigns few rows, and
+# costs above half the float max overflow once the prices are added
+EDGE_CASES = {
+    "all-zero": (np.zeros((5, 2)), np.zeros((5, 2))),
+    "all-equal": (np.zeros((6, 2)), np.ones((6, 2))),
+    "all-equal-300": (np.zeros((300, 3)), np.full((300, 3), 2.0)),
+    "n=1": (np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]])),
+    "n=2": (np.array([[0.0], [1.0]]), np.array([[3.0], [2.0]])),
+    "repeated-rows": (
+        _tied(np.random.default_rng(5), 40, 3, 4), _tied(np.random.default_rng(6), 40, 3, 5)
+    ),
+    "near-float-max": (
+        np.array([[0.0], [1.3e154], [0.5e154]]), np.array([[1.3e154], [0.0], [0.2e154]])
+    ),
+    "near-float-max-2d": (
+        np.random.default_rng(7).uniform(-4.7e153, 4.7e153, (50, 2)),
+        np.random.default_rng(8).uniform(-4.7e153, 4.7e153, (50, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_warm_start_edge_cases_give_the_plain_solve(case):
+    x, y = EDGE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = empirical_w2(x, y)
+    assert got.hex() == scipy_w2(x, y).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(2, 300), st.integers(1, 6), st.sampled_from([1, 2, 5, 0]))
+def test_warm_start_matches_the_plain_solve(seed, n, d, distinct):
+    # distinct = 0 draws every row afresh; otherwise rows repeat
+    rng = np.random.default_rng(seed)
+    if distinct:
+        x, y = _tied(rng, n, d, distinct), _tied(rng, n, d, distinct + 1)
+    else:
+        x, y = rng.standard_normal((n, d)), 2.0 * rng.standard_normal((n, d)) + 0.5
+    expected = scipy_w2(x, y)
+    assert abs(empirical_w2(x, y) - expected) <= 1e-12 * expected
+
+
+def test_warm_start_matches_the_plain_solve_bit_for_bit_on_a_puck_job():
+    # the four solves of fit, eval and score on the puck pair at n=1024
+    src, tgt = puck_pair(3, 1024, noise=0.01)
+    hold_s, hold_t = puck_pair(1003, 1024, noise=0.01)
+    model = fit(src, tgt)
+    problems = {
+        "fit": (apply(model, src.rows), tgt.rows),
+        "eval-before": (hold_s.rows, hold_t.rows),
+        "eval-after": (evaluate_pointwise(model, hold_s, hold_t)[2], hold_t.rows),
+        "score": (at_map(src.rows, tgt.rows).apply(src.rows), tgt.rows),
+    }
+    for name, (x, y) in problems.items():
+        assert empirical_w2(x, y).hex() == scipy_w2(x, y).hex(), name
 
 
 def test_oracle_identical_sets():
@@ -152,6 +224,12 @@ def test_pointwise_errors_are_the_row_norms_bit_for_bit():
     rng = np.random.default_rng(4)
     x, y = rng.standard_normal((257, 5)), 1e3 * rng.standard_normal((257, 5))
     np.testing.assert_array_equal(pointwise_error(x, y)[2], np.linalg.norm(x - y, axis=1))
+
+
+def test_pointwise_rejects_an_overflowing_error():
+    # each row's error is finite or inf; their mean is inf and their std NaN
+    with pytest.raises(NonFinite, match="^predicted next-state errors overflow$"):
+        pointwise_error([[1e308, 0.0], [0.0, 0.0]], [[-1e308, 0.0], [0.0, 0.0]])
 
 
 def test_pointwise_shape_mismatch():

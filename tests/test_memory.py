@@ -1,7 +1,8 @@
 """Peak memory of the bulk path: reading, writing and fitting a dataset, and
 estimating its moments, each hold a small multiple of its rows, never a copy
 of its text or of its centred rows. The learning curve's peak does not grow
-with its repeat count, and is a small multiple of its holdout's rows.
+with its repeat count, and is a small multiple of its holdout's rows. An
+exact W2 solve holds its cost matrix and little more.
 
 tracemalloc sees numpy's buffers as well as Python objects. The peak counts
 what the call returns, so reading a dataset costs at least its rows once.
@@ -15,6 +16,7 @@ import pytest
 from affine_transport import (
     at_map,
     dataset_fingerprint,
+    empirical_w2,
     estimate_moments,
     fit,
     load_csv,
@@ -39,6 +41,9 @@ MAX_CURVE_GROWTH = 1 << 20
 MAX_CURVE_HOLDOUT_MULTIPLE = 2.5
 # the fingerprint hashes the rows in place
 MAX_FINGERPRINT_ROWS_MULTIPLE = 0.1
+# the solve shifts its cost matrix in place, and the auction that prices it
+# reads the matrix through a buffer of about 1/64 of it
+MAX_SOLVE_COST_MULTIPLE = 1.05
 
 
 @pytest.fixture(scope="module")
@@ -112,4 +117,14 @@ def test_learning_curve_peak_is_a_small_multiple_of_the_holdout():
     assert peak <= MAX_CURVE_HOLDOUT_MULTIPLE * hold_s.rows.nbytes, (
         f"learning_curve peaked at {peak / hold_s.rows.nbytes:.2f}x the holdout's "
         f"{hold_s.rows.nbytes} bytes"
+    )
+
+
+def test_exact_solve_peak_is_its_cost_matrix():
+    source, target = puck_pair(2, 2048, noise=0.01)
+    empirical_w2(source.rows[:2], target.rows[:2])  # scipy loads outside the measurement
+    peak = _peak_bytes(empirical_w2, source.rows, target.rows)
+    cost_bytes = source.n * target.n * 8
+    assert peak <= MAX_SOLVE_COST_MULTIPLE * cost_bytes, (
+        f"empirical_w2 peaked at {peak / cost_bytes:.4f}x its {cost_bytes}-byte cost matrix"
     )
