@@ -8,6 +8,12 @@ and the optimal map is affine, x -> A x + b, with
 
     A = S2^1/2 (S2^1/2 S1 S2^1/2)^-1/2 S2^1/2,    b = mu2 - A mu1.
 
+The map, the distance and the gap bound share one factorization, the SVD
+U diag(sig) V^T of the root product S2^1/2 S1^1/2: sig sums to the cross
+term tr (S2^1/2 S1 S2^1/2)^1/2, and U diag(1/sig) U^T is the inner inverse
+root. Forming S2^1/2 S1 S2^1/2 instead would square its conditioning and
+lose pairs of low-rank covariances whose degenerate subspaces line up.
+
 The affine transport map between two arbitrary sample sets is this optimal
 map between their normal (moment) approximations, as ``estimate_moments``
 gives them. Every mean and covariance comes from one reducer, ``_moments``:
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, TooFewSamples
-from .linalg import _readonly, _root, check_symmetric, sample_matrix, spd_sqrt
+from .linalg import _readonly, _root, check_symmetric, sample_matrix
 
 __all__ = [
     "GaussianModel",
@@ -165,20 +171,18 @@ class AffineMap:
 
 
 def _cross_trace(sigma1: np.ndarray, sigma2: np.ndarray) -> float:
-    # tr (S2^1/2 S1 S2^1/2)^1/2, evaluated through the symmetric product so
-    # the inner matrix stays PSD up to rounding
-    s2 = spd_sqrt(sigma2)
-    inner = s2 @ sigma1 @ s2
-    inner = (inner + inner.T) / 2.0
-    w = np.linalg.eigvalsh(inner)
-    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+    # tr (S2^1/2 S1 S2^1/2)^1/2, from the root product _ot_affine factors
+    s2 = _root(sigma2, "target covariance", require_invertible=False)
+    s1 = _root(sigma1, "source covariance", require_invertible=False)
+    return float(np.linalg.svd(s2 @ s1, compute_uv=False).sum())
 
 
 def gaussian_w2(p: GaussianModel, q: GaussianModel) -> float:
     """Closed-form 2-Wasserstein distance between two Gaussian models.
 
-    The squared distance is clamped at zero before the final square root so
-    rounding noise on identical models cannot produce NaN.
+    Both covariances are checked as ``gaussian_ot_map`` checks them, short of
+    invertibility. The squared distance is clamped at zero before the final
+    square root so rounding noise on identical models cannot produce NaN.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"models have dimensions {p.dim} and {q.dim}")
@@ -199,10 +203,7 @@ def gaussian_ot_map(p: GaussianModel, q: GaussianModel) -> AffineMap:
     ``A = S2^1/2 (S2^1/2 S1 S2^1/2)^-1/2 S2^1/2`` and offset
     ``b = q.mean - A @ p.mean``. Raises SingularMatrix when either covariance
     is numerically singular (eigenvalue ratio below 1e-12); ridge-regularized
-    estimates always pass. The inner inverse root is evaluated from the
-    singular values of the factor product ``S2 @ S1``: forming the full inner
-    product would square its conditioning and lose pairs of regularized
-    low-rank covariances whose degenerate subspaces line up.
+    estimates always pass.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"models have dimensions {p.dim} and {q.dim}")
@@ -241,13 +242,11 @@ def gelbrich_gap_bound(p: GaussianModel, q: GaussianModel) -> float:
 
         2 tr[(S1 S2)^1/2] / sqrt(tr S1 + tr S2)
 
-    where the trace term is evaluated as tr (S2^1/2 S1 S2^1/2)^1/2.
+    where the trace term is the cross term of ``gaussian_w2``.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"models have dimensions {p.dim} and {q.dim}")
-    t1 = float(np.trace(p.covariance))
-    t2 = float(np.trace(q.covariance))
-    total = t1 + t2
+    total = float(np.trace(p.covariance)) + float(np.trace(q.covariance))
     if total <= 0.0:
         raise DegenerateInput("both covariances have zero trace; the bound is undefined")
     return 2.0 * _cross_trace(p.covariance, q.covariance) / float(np.sqrt(total))

@@ -1045,6 +1045,96 @@ def test_model_array_fields_reject_booleans(int_work, tmp_path, capsys, path, va
     assert err[0].startswith("error[MalformedModel]: ")
 
 
+# usage errors that no other test reaches, and the one line each prints;
+# {pair} is int_work's pair and {tmp} the test's own directory
+CURVE = ["learning-curve", "--source", "{pair}/source.csv", "--target", "{pair}/target.csv",
+         "--out", "{tmp}/curve.json"]
+USAGE_LINES = {
+    "fit-without-out": (["fit", "--source", "{pair}/source.csv", "--target", "{pair}/target.csv"],
+                        "--out is required for this command"),
+    "synth-without-kind": (["synth", "--n", "10", "--out", "{tmp}"],
+                           "synth needs --kind (or a --spec file)"),
+    "synth-without-n": (["synth", "--kind", "puck", "--out", "{tmp}"],
+                        "synth needs --n (or a --spec file with 'n')"),
+    "sizes-1": (CURVE + ["--sizes", "1"], "--sizes needs fit sizes of at least 2, got '1'"),
+    "sizes-empty": (CURVE + ["--sizes", ""], "--sizes needs fit sizes of at least 2, got ''"),
+    "holdout-fraction": (CURVE + ["--holdout-fraction", "1.5"],
+                         "--holdout-fraction must be in (0, 1), got 1.5"),
+    "negative-seed": (["synth", "--kind", "puck", "--n", "10", "--seed", "-1", "--out", "{tmp}"],
+                      "argument --seed: expected a non-negative integer, got -1"),
+}
+
+
+@pytest.mark.parametrize("argv, line", list(USAGE_LINES.values()), ids=list(USAGE_LINES))
+def test_usage_errors_print_their_line(int_work, tmp_path, capsys, argv, line):
+    capsys.readouterr()
+    assert main([a.format(pair=int_work / "pair", tmp=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr().err == f"usage error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "affine_transport.cli", "synth", "--n", "10",
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    line = USAGE_LINES["synth-without-kind"][1]
+    assert (proc.returncode, proc.stderr) == (1, f"usage error: {line}\n")
+
+
+def test_empty_csv_with_a_manifest_is_malformed(int_work, tmp_path, capsys):
+    pair = int_work / "pair"
+    (tmp_path / "source.csv").write_bytes(b"")
+    (tmp_path / "source.manifest.json").write_bytes((pair / "source.manifest.json").read_bytes())
+    capsys.readouterr()
+    assert run("score", "--source", tmp_path / "source.csv", "--target", pair / "target.csv") == 2
+    assert capsys.readouterr().err == f"error[MalformedCsv]: {tmp_path / 'source.csv'} is empty\n"
+
+
+SPEC_LINES = {
+    "n-0": ({"kind": "linear", "n": 0}, "sample count must be positive, got 0"),
+    "dynamics-1d": ({"kind": "linear", "n": 10, "dynamics": [0.5, 0.1]},
+                    "dynamics must be a matrix, got shape (2,)"),
+    "state-dim-0": ({"kind": "linear", "n": 10, "state_dim": 0},
+                    "state_dim and action_dim must be positive, got 0 and 2"),
+    "dynamics-2x3": ({"kind": "linear", "n": 10, "dynamics": [[1, 0, 0], [0, 1, 0]]},
+                     "dynamics must be square, got shape (2, 3)"),
+    "controls-3x1": ({"kind": "linear", "n": 10, "dynamics": [[1, 0], [0, 1]],
+                      "controls": [[1], [0], [0]]},
+                     "controls must have 2 rows, got shape (3, 1)"),
+}
+
+
+@pytest.mark.parametrize("doc, line", list(SPEC_LINES.values()), ids=list(SPEC_LINES))
+def test_bad_spec_files_print_their_line(tmp_path, capsys, doc, line):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps(doc))
+    assert run("synth", "--spec", spec, "--out", tmp_path) == 5
+    assert capsys.readouterr().err == f"error[BadSpec]: {line}\n"
+    assert not (tmp_path / "source.csv").exists()
+
+
+MODEL_LINES = {
+    "meta-list": (lambda doc: {**doc, "meta": []}, "field 'meta' must be an object"),
+    "R-nested": (lambda doc: {**doc, "R": [doc["R"]]},
+                 "field 'R' must be a flat list of finite numbers"),
+    "state-dim-negative": (lambda doc: {**doc, "state_dim": -1},
+                           "model dimensions must be positive, got state_dim=-1 action_dim=2"),
+}
+
+
+@pytest.mark.parametrize("edit, line", list(MODEL_LINES.values()), ids=list(MODEL_LINES))
+def test_bad_model_files_print_their_line(int_work, tmp_path, capsys, edit, line):
+    pair = int_work / "pair"
+    doc = edit(json.loads((int_work / "model.json").read_text()))
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run("eval", "--model", tmp_path / "model.json", "--source", pair / "source.csv",
+               "--target", pair / "target.csv", "--out", tmp_path / "r.json")
+    assert (code, capsys.readouterr().err) == (2, f"error[MalformedModel]: {line}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_learning_curve_csv_from_synth_pair(tmp_path):
     # the sample-efficiency table: a synthesized linear pair, then its curve as CSV
     pair = synth_linear(tmp_path, "pair", n=200, extra=("--target-invert", "1"))

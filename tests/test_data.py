@@ -75,6 +75,8 @@ def test_dataset_keeps_a_read_only_array_it_is_handed():
 def test_dataset_rejects_bad_width():
     with pytest.raises(DimensionMismatch):
         TransitionDataset(2, 2, np.zeros((3, 5)))
+    with pytest.raises(DimensionMismatch, match=r"^rows must be 2-D, got shape \(3,\)$"):
+        TransitionDataset(1, 1, np.zeros(3))
 
 
 def test_dataset_rejects_non_finite():
@@ -170,6 +172,8 @@ def test_gen_linear_rejects_bad_specs():
         gen_linear(_linear_spec(), np.zeros((5, 3)), 0)  # wrong action width
     with pytest.raises(BadSpec):
         gen_linear(DomainSpec("puck"), actions, 0)  # wrong kind
+    with pytest.raises(BadSpec, match="^inverted must be a list of indices, got 5$"):
+        DomainSpec("linear", inverted=5)
 
 
 def test_gen_puck_zero_launch_stays_put():
@@ -228,6 +232,11 @@ def test_gen_puck_rejects_bad_specs():
         DomainSpec("puck", noise_std=-0.1)
     with pytest.raises(BadSpec):
         DomainSpec("hover")
+    with pytest.raises(BadSpec, match="^gen_puck requires kind='puck', got 'linear'$"):
+        gen_puck(_linear_spec(), np.zeros((2, 2)), 0)
+    # an integer too large for a float
+    with pytest.raises(BadSpec, match="^noise_std must be a finite number, got 1000"):
+        DomainSpec("puck", noise_std=10**400)
 
 
 def test_spec_from_dict_friction_alias():
@@ -240,6 +249,8 @@ def test_spec_from_dict_rejects_unknown_fields():
         DomainSpec.from_dict({"kind": "puck", "mass": 1.0})
     with pytest.raises(BadSpec):
         DomainSpec.from_dict({"label": "x"})  # no kind
+    with pytest.raises(BadSpec, match="^domain spec must be a mapping, got list$"):
+        DomainSpec.from_dict([])
 
 
 def test_csv_round_trip(tmp_path):
@@ -547,6 +558,8 @@ def test_split_rejects_bad_fractions():
         split(ds, (-0.1, 1.1), 0)
     with pytest.raises(BadFraction):
         split(ds, (0.5,), 0)
+    with pytest.raises(BadFraction, match="^fractions must be two numbers, got 'ab'$"):
+        split(ds, "ab", 0)
 
 
 def test_subset_picks_rows_in_order():

@@ -44,6 +44,14 @@ def test_shifted_triangle():
 def test_count_mismatch():
     with pytest.raises(PairingMismatch):
         empirical_w2(np.zeros((3, 1)), np.zeros((4, 1)))
+    with pytest.raises(PairingMismatch, match="^cannot transport between empty sample sets$"):
+        empirical_w2(np.empty((0, 2)), np.empty((0, 2)))
+
+
+def test_overflowing_distances():
+    # finite points whose squared distance overflows
+    with pytest.raises(NonFinite, match="^squared distances between the sample sets overflow$"):
+        empirical_w2([[1e200, 0.0], [0.0, 0.0]], [[-1e200, 0.0], [0.0, 0.0]])
 
 
 def test_width_mismatch():

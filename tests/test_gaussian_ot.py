@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from affine_transport import (
+    AffineMap,
     DegenerateInput,
     DimensionMismatch,
     GaussianModel,
+    IndefiniteMatrix,
     SingularMatrix,
     TooFewSamples,
     at_map,
@@ -21,7 +23,7 @@ from affine_transport import (
     spd_sqrt,
 )
 from affine_transport.gaussian_ot import _GRAM_CHUNK, _moments
-from helpers import random_gaussian, random_spd, spd_inv_sqrt
+from helpers import random_gaussian, random_orthogonal, random_spd, spd_inv_sqrt
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -52,6 +54,8 @@ def test_w2_swapped_diagonals():
 def test_w2_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         gaussian_w2(_gauss([0.0], [[1.0]]), _gauss([0.0, 0.0], np.eye(2)))
+    with pytest.raises(DimensionMismatch, match="^models have dimensions 1 and 2$"):
+        gelbrich_gap_bound(_gauss([0.0], [[1.0]]), _gauss([0.0, 0.0], np.eye(2)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -71,6 +75,56 @@ def test_w2_triangle_inequality(seed, d):
     q = random_gaussian(rng, d)
     r = random_gaussian(rng, d)
     assert gaussian_w2(p, r) <= gaussian_w2(p, q) + gaussian_w2(q, r) + 1e-8
+
+
+@pytest.mark.parametrize("distance", [gaussian_w2, gelbrich_gap_bound])
+def test_distances_check_both_covariances(distance):
+    bad = _gauss([0.0, 0.0], np.diag([1.0, -0.5]))
+    good = _gauss([0.0, 0.0], np.eye(2))
+    for p, q, side in ((bad, good, "source"), (good, bad, "target")):
+        message = f"^{side} covariance has eigenvalue -5.000e-01 "
+        with pytest.raises(IndefiniteMatrix, match=message):
+            distance(p, q)
+
+
+@pytest.mark.parametrize("eigenvalues", [(1e6, 1.0, 0.0), (1.0, 1e-8)])
+def test_w2_self_distance_of_rotated_ill_conditioned_covariance(eigenvalues):
+    # a rank-deficient and an ill-conditioned covariance, off the axes
+    lam = np.array(eigenvalues)
+    q = random_orthogonal(np.random.default_rng(0), lam.size)
+    cov = (q * lam) @ q.T
+    cov = (cov + cov.T) / 2.0
+    p = _gauss(np.zeros(lam.size), cov)
+    assert gaussian_w2(p, p) <= 1e-7 * np.sqrt(2.0 * np.trace(cov))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.integers(1, 6))
+def test_w2_of_commuting_covariances_matches_the_exact_formula(seed, d):
+    # covariances sharing eigenvectors Q have roots Q diag(sqrt lam) Q^T, so
+    # W2^2 = |mu1 - mu2|^2 + |sqrt lam1 - sqrt lam2|^2 exactly
+    rng = np.random.default_rng(seed)
+    q = random_orthogonal(rng, d)
+    lam = 10.0 ** rng.uniform(-4.0, 4.0, size=(2, d))
+    lam[rng.random((2, d)) < 0.3] = 0.0
+    assume(lam.sum() > 0.0)
+    mean = rng.standard_normal((2, d))
+    covs = [(q * row) @ q.T for row in lam]
+    p, r = (_gauss(mu, (c + c.T) / 2.0) for mu, c in zip(mean, covs))
+    roots = np.sqrt(lam)
+    exact = np.sqrt(np.sum((mean[0] - mean[1]) ** 2) + np.sum((roots[0] - roots[1]) ** 2))
+    assert abs(gaussian_w2(p, r) - exact) <= 1e-5 * np.sqrt(lam.sum())
+
+
+def test_models_reject_mismatched_shapes():
+    shape = r"^covariance shape \(3, 3\) does not match mean of length 2$"
+    with pytest.raises(DimensionMismatch, match=shape):
+        GaussianModel(np.zeros(2), np.eye(3))
+    shape = r"^matrix shape \(2, 2\) does not match offset of length 3$"
+    with pytest.raises(DimensionMismatch, match=shape):
+        AffineMap(np.eye(2), np.zeros(3))
+    with pytest.raises(DimensionMismatch, match="^input of width 3 fed to a map expecting 2$"):
+        AffineMap(np.eye(2), np.zeros(2)).apply(np.zeros((4, 3)))
 
 
 def test_ot_map_identity():

@@ -46,6 +46,9 @@ def test_sqrt_reconstructs_two_by_two():
 def test_sqrt_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         spd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    message = r"^spd_sqrt input must be a square matrix, got shape \(2, 3\)$"
+    with pytest.raises(NotSymmetric, match=message):
+        spd_sqrt(np.zeros((2, 3)))
 
 
 def test_sqrt_rejects_indefinite():

@@ -171,6 +171,8 @@ def test_apply_identity_model():
     model = _identity_model()
     x = np.random.default_rng(6).standard_normal((7, 3))
     np.testing.assert_array_equal(apply(model, x), x)
+    # one triplet is read as one row
+    np.testing.assert_array_equal(apply(model, x[0]), x[:1], strict=True)
 
 
 def test_apply_scaling_model():
@@ -205,6 +207,12 @@ def test_model_constructor_rejects_tampering():
         TransferModel(np.eye(3), AffineMap(skew, np.zeros(3)), 1, 1, good.meta)
     with pytest.raises(MalformedModel):
         TransferModel(np.eye(3), AffineMap(np.diag([1.0, 1.0, -1.0]), np.zeros(3)), 1, 1, good.meta)
+    with pytest.raises(MalformedModel, match=r"^rotation has shape \(2, 2\), expected \(3, 3\)$"):
+        TransferModel(np.eye(2), good.at, 1, 1, good.meta)
+    with pytest.raises(
+        MalformedModel, match=r"^transport matrix has shape \(2, 2\), expected \(3, 3\)$"
+    ):
+        TransferModel(np.eye(3), AffineMap(np.eye(2), np.zeros(2)), 1, 1, good.meta)
 
 
 @pytest.mark.parametrize("which", ["rotation", "asymmetric", "indefinite"])
@@ -332,18 +340,22 @@ def test_pointwise_part_runs_the_input_checks():
 
 
 def test_pointwise_part_rejects_an_overflowing_error():
-    # a0 = 1e308 in one row of both sides: the row's predicted next state is
-    # finite, but its error overflows; no (inf, nan) statistics come back
+    # one entry edited in one row of both sides: every entry stays finite, but
+    # a next-state error overflows; no (inf, nan) statistics come back
     src, tgt = puck_pair(3, 512, noise=0.01)
     model = fit(src, tgt)
 
-    def edited(data):
+    def edited(data, column, value):
         rows = data.rows.copy()
-        rows[7, 2] = 1e308  # s0, s1, a0, ...
+        rows[7, column] = value
         return TransitionDataset(data.state_dim, data.action_dim, rows, data.domain_label)
 
+    # a0 = 1e308 (columns s0, s1, a0, ...): the predicted next state is finite
     with pytest.raises(NonFinite, match="^transported next-state errors overflow$"):
-        evaluate_pointwise(model, edited(src), edited(tgt))
+        evaluate_pointwise(model, edited(src, 2, 1e308), edited(tgt, 2, 1e308))
+    # next states of +-1e200: the error before transport overflows
+    with pytest.raises(NonFinite, match="^source next-state errors overflow$"):
+        evaluate_pointwise(model, edited(src, -1, 1e200), edited(tgt, -1, -1e200))
 
 
 def test_transported_distance_stays_under_budget():
