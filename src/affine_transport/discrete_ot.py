@@ -5,8 +5,9 @@ permutation solution, so the exact distance reduces to a linear assignment
 over the squared-distance cost matrix. The assignment solver (Crouse 2016)
 starts from zero duals; adding a constant to a row or a column of the costs
 changes no assignment's rank, so each solve first shifts the costs by column
-prices from a few rounds of a forward auction (Bertsekas 1988), and the
-solver, still exact, finishes from near-optimal duals.
+prices from a forward auction (Bertsekas 1988), stopped once at most
+ceil(n/200) rows are unassigned, and the solver, still exact, finishes from
+near-optimal duals.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _auction_prices(cost: np.ndarray) -> np.ndarray:
     row's best and second-best values, plus a step eps. Each column takes
     its highest bid (ties to the lowest row) and evicts its previous holder.
     eps is 0.003 of the median of every ceil(n/64)-th entry of every
-    ceil(n/64)-th row. The phase stops once at most ceil(n/50) rows are
+    ceil(n/64)-th row. The phase stops once at most ceil(n/200) rows are
     unassigned, after a round whose bids went to fewer than 1/16 as many
     columns as there were bidders, or, as a time backstop, once it has read
     32 matrices' worth of rows.
@@ -112,7 +113,7 @@ def _auction_prices(cost: np.ndarray) -> np.ndarray:
     buf = np.empty((block, n))
     free = np.arange(n)
     read = 0
-    while free.size > -(-n // 50) and read < 32 * n:
+    while free.size > -(-n // 200) and read < 32 * n:
         read += free.size
         best = np.empty(free.size, dtype=np.intp)
         bid = np.empty(free.size)

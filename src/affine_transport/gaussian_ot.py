@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, TooFewSamples
-from .linalg import _readonly, _root, check_symmetric, sample_matrix
+from .linalg import _checked_eigh, _readonly, _root, check_symmetric, sample_matrix
 
 __all__ = [
     "GaussianModel",
@@ -246,10 +246,13 @@ def gelbrich_gap_bound(p: GaussianModel, q: GaussianModel) -> float:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"models have dimensions {p.dim} and {q.dim}")
+    # the cross term checks both covariances, so a negative trace is reported
+    # as the indefinite covariance it comes from
+    cross = _cross_trace(p.covariance, q.covariance)
     total = float(np.trace(p.covariance)) + float(np.trace(q.covariance))
     if total <= 0.0:
         raise DegenerateInput("both covariances have zero trace; the bound is undefined")
-    return 2.0 * _cross_trace(p.covariance, q.covariance) / float(np.sqrt(total))
+    return 2.0 * cross / float(np.sqrt(total))
 
 
 def normal_approx_bound(sigma: np.ndarray) -> float:
@@ -257,9 +260,10 @@ def normal_approx_bound(sigma: np.ndarray) -> float:
 
     Any distribution is within this of its own normal approximation, and the
     transported source stays within this of the target whose covariance is
-    sigma; the affinity score divides by this value.
+    sigma; the affinity score divides by this value. sigma is checked as
+    every covariance is: IndefiniteMatrix below -1e-6 of its top eigenvalue.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    check_symmetric(sigma, "sigma")
+    _checked_eigh(sigma, "sigma")
     tr = max(float(np.trace(sigma)), 0.0)
     return float(np.sqrt(2.0) * np.sqrt(tr))

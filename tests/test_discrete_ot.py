@@ -101,6 +101,25 @@ EDGE_CASES = {
     "all-zero": (np.zeros((5, 2)), np.zeros((5, 2))),
     "all-equal": (np.zeros((6, 2)), np.ones((6, 2))),
     "all-equal-300": (np.zeros((300, 3)), np.full((300, 3), 2.0)),
+    # at n = 200 and 201 the phase stops at 1 and at 2 unassigned rows; equal
+    # costs and repeated rows end it by the tied-bid stop, distinct rows by
+    # that row stop
+    "all-equal-200": (np.zeros((200, 2)), np.full((200, 2), 1.5)),
+    "all-equal-201": (np.zeros((201, 2)), np.full((201, 2), 1.5)),
+    "repeated-rows-200": (
+        _tied(np.random.default_rng(9), 200, 3, 150), _tied(np.random.default_rng(10), 200, 3, 151)
+    ),
+    "repeated-rows-201": (
+        _tied(np.random.default_rng(9), 201, 3, 150), _tied(np.random.default_rng(10), 201, 3, 151)
+    ),
+    "distinct-200": (
+        np.random.default_rng(13).standard_normal((200, 2)),
+        np.random.default_rng(14).standard_normal((200, 2)),
+    ),
+    "distinct-201": (
+        np.random.default_rng(13).standard_normal((201, 2)),
+        np.random.default_rng(14).standard_normal((201, 2)),
+    ),
     "n=1": (np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]])),
     "n=2": (np.array([[0.0], [1.0]]), np.array([[3.0], [2.0]])),
     "repeated-rows": (

@@ -289,6 +289,17 @@ def test_gap_bound_rejects_two_point_masses():
     p = _gauss([0.0], [[0.0]])
     with pytest.raises(DegenerateInput):
         gelbrich_gap_bound(p, p)
+    q = _gauss([1.0, 2.0], np.zeros((2, 2)))
+    with pytest.raises(DegenerateInput, match="^both covariances have zero trace"):
+        gelbrich_gap_bound(q, _gauss([0.0, 0.0], np.zeros((2, 2))))
+
+
+def test_gap_bound_checks_covariances_before_their_trace():
+    # a negative trace sum is an indefinite covariance, not a degenerate pair
+    p = _gauss([0.0, 0.0], np.diag([-1.0, -1.0]))
+    q = _gauss([0.0, 0.0], 0.5 * np.eye(2))
+    with pytest.raises(IndefiniteMatrix, match="^source covariance has eigenvalue -1.000e"):
+        gelbrich_gap_bound(p, q)
 
 
 def test_gap_bound_brackets_empirical_distance():
@@ -313,6 +324,20 @@ def test_normal_bound_identity():
 
 def test_normal_bound_diagonal():
     assert abs(normal_approx_bound(np.diag([3.0, 6.0])) - np.sqrt(18.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("diagonal", [(1.0, -0.5), (-1.0, -0.5)])
+def test_normal_bound_rejects_an_indefinite_covariance(diagonal):
+    with pytest.raises(IndefiniteMatrix, match="^sigma has eigenvalue -"):
+        normal_approx_bound(np.diag(diagonal))
+
+
+def test_normal_bound_keeps_the_trace_bits():
+    # the eigenvalue check decides nothing on a valid covariance
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((50, 4))
+    sigma = z.T @ z / 50
+    assert normal_approx_bound(sigma) == float(np.sqrt(2.0) * np.sqrt(np.trace(sigma)))
 
 
 def _plain_moments(*sides):
