@@ -29,10 +29,9 @@ from .errors import (
     DimensionMismatch,
     MalformedCsv,
     MissingManifest,
-    NonFinite,
     PairingMismatch,
 )
-from .linalg import _readonly
+from .linalg import _readonly, _require_finite
 
 __all__ = [
     "TransitionDataset",
@@ -104,9 +103,7 @@ class TransitionDataset:
                 f"rows have width {rows.shape[1]}, expected "
                 f"2*{self.state_dim}+{self.action_dim}={self.width}"
             )
-        # min and max carry any NaN or infinity through, and build no mask of the rows
-        if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
-            raise NonFinite("dataset rows contain NaN or infinite entries")
+        _require_finite(rows, "dataset")
         object.__setattr__(self, "rows", _readonly(rows))
 
     @property
@@ -155,7 +152,8 @@ class DomainSpec:
     control matrices plus a randomization descriptor (per-coordinate scale
     factors, inverted rows, disabled action rows; a coordinate listed in both
     index sets is treated as disabled only). Puck domains take per-axis
-    friction, an outcome rotation angle, and gravity.
+    friction, an outcome rotation angle, and gravity. The constructor checks
+    every field (BadSpec), so a generator checks only its kind and actions.
     """
 
     kind: str
@@ -195,6 +193,29 @@ class DomainSpec:
             except TypeError:
                 raise BadSpec(message)
             object.__setattr__(self, field, tuple(_json_int(i, BadSpec, message) for i in indices))
+        if self.kind == "puck":
+            if not (self.friction_x > 0.0 and self.friction_y > 0.0):
+                friction = (self.friction_x, self.friction_y)
+                raise BadSpec(f"friction must be strictly positive, got {friction!r}")
+            if not self.gravity > 0.0:
+                raise BadSpec(f"gravity must be strictly positive, got {self.gravity!r}")
+            return
+        m, b = self.dynamics, self.controls
+        if m is None or b is None:
+            raise BadSpec("linear domain spec needs 'dynamics' and 'controls' matrices")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise BadSpec(f"dynamics must be square, got shape {m.shape}")
+        d = m.shape[0]
+        if b.ndim != 2 or b.shape[0] != d:
+            raise BadSpec(f"controls must have {d} rows, got shape {b.shape}")
+        if self.scales is not None:
+            if self.scales.shape != (d,):
+                raise BadSpec(f"scales must have length {d}, got shape {self.scales.shape}")
+            if not np.all(self.scales > 0.0):
+                raise BadSpec("scale factors must be strictly positive")
+        for name, idx in (("inverted", self.inverted), ("disabled", self.disabled)):
+            if any(i < 0 or i >= d for i in idx):
+                raise BadSpec(f"{name} indices out of range for dimension {d}: {idx}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DomainSpec":
@@ -306,36 +327,20 @@ def gen_linear(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionDa
     """
     if spec.kind != "linear":
         raise BadSpec(f"gen_linear requires kind='linear', got {spec.kind!r}")
-    if spec.dynamics is None or spec.controls is None:
-        raise BadSpec("linear domain spec needs 'dynamics' and 'controls' matrices")
-    m = spec.dynamics
-    b = spec.controls
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadSpec(f"dynamics must be square, got shape {m.shape}")
-    d = m.shape[0]
-    if b.ndim != 2 or b.shape[0] != d:
-        raise BadSpec(f"controls must have {d} rows, got shape {b.shape}")
-    k = b.shape[1]
+    d, k = spec.controls.shape
     a = np.asarray(actions, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != k:
         raise BadSpec(f"actions must be (n, {k}), got shape {a.shape}")
     scales = spec.scales if spec.scales is not None else np.ones(d)
-    if scales.shape != (d,):
-        raise BadSpec(f"scales must have length {d}, got shape {scales.shape}")
-    if not np.all(scales > 0.0):
-        raise BadSpec("scale factors must be strictly positive")
-    for name, idx in (("inverted", spec.inverted), ("disabled", spec.disabled)):
-        if any(i < 0 or i >= d for i in idx):
-            raise BadSpec(f"{name} indices out of range for dimension {d}: {idx}")
     n = a.shape[0]
     states = rng_stream(seed, "states").standard_normal((n, d))
     # huge spec values may overflow; TransitionDataset rejects the result once
     with np.errstate(all="ignore"):
-        mp = scales[:, None] * m
+        mp = scales[:, None] * spec.dynamics
         flip = sorted(set(spec.inverted) - set(spec.disabled))
         if flip:
             mp[flip, :] *= -1.0
-        bp = b.copy()
+        bp = spec.controls.copy()
         if spec.disabled:
             bp[sorted(set(spec.disabled)), :] = 0.0
         nxt = states @ mp.T + a @ bp.T
@@ -357,12 +362,6 @@ def gen_puck(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionData
     """
     if spec.kind != "puck":
         raise BadSpec(f"gen_puck requires kind='puck', got {spec.kind!r}")
-    if not (spec.friction_x > 0.0 and spec.friction_y > 0.0):
-        raise BadSpec(
-            f"friction must be strictly positive, got ({spec.friction_x!r}, {spec.friction_y!r})"
-        )
-    if not spec.gravity > 0.0:
-        raise BadSpec(f"gravity must be strictly positive, got {spec.gravity!r}")
     v = np.asarray(actions, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != 2:
         raise BadSpec(f"puck actions must be (n, 2) launch velocities, got shape {v.shape}")

@@ -44,7 +44,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
+    # min and max carry any NaN or infinity through, and build no mask of the entries
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise NonFinite(f"{name} contains NaN or infinite entries")
 
 

@@ -41,7 +41,10 @@ from .errors import (
     BadSpec,
     DegenerateInput,
     DimensionMismatch,
+    IndefiniteMatrix,
     MalformedModel,
+    NonFinite,
+    NotSymmetric,
     TooFewSamples,
 )
 # at_map and pointwise_error are not called here; they stay bound because
@@ -55,7 +58,7 @@ from .gaussian_ot import (
     estimate_moments,
     normal_approx_bound,
 )
-from .linalg import _first, _readonly, _require_finite, sample_pair
+from .linalg import _checked_eigh, _first, _readonly, _require_finite, sample_pair
 
 __all__ = [
     "FitMeta",
@@ -76,7 +79,6 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 _ORTHO_TOL = 1e-8
-_PSD_TOL = 1e-8
 
 # repeats of one fit size that one kernel call fits. It is the default
 # --repeats, so a default curve makes one call per size, and the curve's
@@ -111,7 +113,7 @@ def procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 def _polar(m: np.ndarray) -> np.ndarray:
     """Orthogonal polar factor U V^T of m = U diag(s) V^T, for one matrix or
     a stack (..., d, d)."""
-    _require_finite(m, "svd input")
+    _require_finite(m, "cross-covariance")
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return u @ vh
 
@@ -136,22 +138,19 @@ def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarra
 
 
 def _check_maps(r: np.ndarray, a: np.ndarray) -> None:
-    """Raise MalformedModel unless R is orthogonal and A symmetric PSD, for
-    one (R, A) pair or stacks (..., w, w) of them; the first failing pair of
-    a stack is the one reported."""
-    ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(r.shape[-1])).max(axis=(-2, -1))
-    bad = _first(ortho > _ORTHO_TOL, ortho)
-    if bad:
-        raise MalformedModel(f"rotation is not orthogonal: |R^T R - I| = {bad[0]:.3e}")
-    at = np.swapaxes(a, -1, -2)
-    asym = np.abs(a - at).max(axis=(-2, -1))
-    bad = _first(asym > _PSD_TOL * (1.0 + np.abs(a).max(axis=(-2, -1))), asym)
-    if bad:
-        raise MalformedModel(f"transport matrix is not symmetric: {bad[0]:.3e}")
-    w = np.linalg.eigvalsh((a + at) / 2.0)
-    bad = _first(w[..., 0] < -_PSD_TOL * np.maximum(w[..., -1], 0.0), w[..., 0])
-    if bad:
-        raise MalformedModel(f"transport matrix has negative eigenvalue {bad[0]:.3e}")
+    """Raise MalformedModel unless R is finite and orthogonal and A passes
+    ``_checked_eigh`` (finite, symmetric, PSD), for one (R, A) pair or stacks
+    (..., w, w) of them; the first failing pair of a stack is the one reported."""
+    try:
+        _require_finite(r, "rotation")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(r.shape[-1])).max(axis=(-2, -1))
+        bad = _first(~(ortho <= _ORTHO_TOL), ortho)
+        if bad:
+            raise MalformedModel(f"rotation is not orthogonal: |R^T R - I| = {bad[0]:.3e}")
+        _checked_eigh(a, "transport matrix")
+    except (NonFinite, NotSymmetric, IndefiniteMatrix) as exc:
+        raise MalformedModel(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,9 @@ class TransferModel:
 
     ``rotation`` is orthogonal, ``at`` is the transport map applied after
     it, and ``composed`` collapses both into a single affine map. The
-    constructor validates orthogonality of R and symmetry plus positive
-    semi-definiteness of the transport matrix, so a tampered model cannot be
-    constructed.
+    constructor checks that R is finite and orthogonal and that the transport
+    matrix passes the symmetric-PSD rule covariances pass, so a tampered
+    model cannot be constructed.
     """
 
     rotation: np.ndarray

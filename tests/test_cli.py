@@ -922,6 +922,26 @@ def test_overflowing_covariance_prints_one_error(tmp_path, capsys, command):
     assert err[0].startswith("error[NonFinite]: ")
 
 
+OVERFLOW_LINES = {
+    "fit": "cross-covariance contains NaN or infinite entries",
+    "score": "target covariance contains NaN or infinite entries",
+}
+
+
+@pytest.mark.parametrize("command, line", list(OVERFLOW_LINES.items()), ids=list(OVERFLOW_LINES))
+def test_overflowing_moments_name_what_overflowed(tmp_path, capsys, command, line):
+    # a target scaled by 1e308: finite rows, but their moments overflow
+    pair = tmp_path / "pair"
+    pair.mkdir()
+    assert run("synth", "--kind", "linear", "--n", 5, "--state-dim", 1, "--action-dim", 1,
+               "--target-scales", "1e308", "--out", pair) == 0
+    capsys.readouterr()
+    code = run(command, "--source", pair / "source.csv", "--target", pair / "target.csv",
+               "--out", tmp_path / "out.json")
+    assert (code, capsys.readouterr().err) == (5, f"error[NonFinite]: {line}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_learning_curve_overflowing_holdout_error_prints_one_error(tmp_path, capsys):
     # a0 = 1e308 in one held-out row of both files: its predicted next state is
     # finite, but its error overflows. No numpy warning and no curve with an

@@ -160,14 +160,26 @@ def test_gen_linear_reproducible():
 
 def test_gen_linear_rejects_bad_specs():
     actions = np.zeros((5, 1))
-    with pytest.raises(BadSpec):
-        gen_linear(DomainSpec("linear"), actions, 0)  # matrices missing
-    with pytest.raises(BadSpec):
-        gen_linear(_linear_spec(scales=np.array([1.0, -1.0])), actions, 0)
-    with pytest.raises(BadSpec):
-        gen_linear(_linear_spec(scales=np.array([1.0, 1.0, 1.0])), actions, 0)
-    with pytest.raises(BadSpec):
-        gen_linear(_linear_spec(inverted=(5,)), actions, 0)
+    m, b = np.eye(2), np.ones((2, 1))
+    # a spec field a generator cannot use is rejected when the spec is built
+    for kw, line in (
+        ({}, "linear domain spec needs 'dynamics' and 'controls' matrices"),
+        ({"dynamics": m}, "linear domain spec needs 'dynamics' and 'controls' matrices"),
+        ({"dynamics": np.ones((2, 3)), "controls": b},
+         r"dynamics must be square, got shape \(2, 3\)"),
+        ({"dynamics": m, "controls": np.ones((3, 1))},
+         r"controls must have 2 rows, got shape \(3, 1\)"),
+        ({"dynamics": m, "controls": b, "scales": [1.0, -1.0]},
+         "scale factors must be strictly positive"),
+        ({"dynamics": m, "controls": b, "scales": [1.0, 1.0, 1.0]},
+         r"scales must have length 2, got shape \(3,\)"),
+        ({"dynamics": m, "controls": b, "inverted": (5,)},
+         r"inverted indices out of range for dimension 2: \(5,\)"),
+        ({"dynamics": m, "controls": b, "disabled": (-1,)},
+         r"disabled indices out of range for dimension 2: \(-1,\)"),
+    ):
+        with pytest.raises(BadSpec, match=f"^{line}$"):
+            DomainSpec("linear", **kw)
     with pytest.raises(BadSpec):
         gen_linear(_linear_spec(), np.zeros((5, 3)), 0)  # wrong action width
     with pytest.raises(BadSpec):
@@ -222,14 +234,16 @@ def test_gen_puck_quarter_turn_equivariant():
 
 
 def test_gen_puck_rejects_bad_specs():
-    with pytest.raises(BadSpec):
-        gen_puck(DomainSpec("puck", friction_x=0.0), np.zeros((2, 2)), 0)
-    with pytest.raises(BadSpec):
-        gen_puck(DomainSpec("puck", gravity=-1.0), np.zeros((2, 2)), 0)
+    for kw, line in (
+        ({"friction_x": 0.0}, r"friction must be strictly positive, got \(0.0, 0.1\)"),
+        ({"friction_y": -1.0}, r"friction must be strictly positive, got \(0.1, -1.0\)"),
+        ({"gravity": -1.0}, "gravity must be strictly positive, got -1.0"),
+        ({"noise_std": -0.1}, "noise_std must be >= 0, got -0.1"),
+    ):
+        with pytest.raises(BadSpec, match=f"^{line}$"):
+            DomainSpec("puck", **kw)
     with pytest.raises(BadSpec):
         gen_puck(DomainSpec("puck"), np.zeros((2, 3)), 0)
-    with pytest.raises(BadSpec):
-        DomainSpec("puck", noise_std=-0.1)
     with pytest.raises(BadSpec):
         DomainSpec("hover")
     with pytest.raises(BadSpec, match="^gen_puck requires kind='puck', got 'linear'$"):

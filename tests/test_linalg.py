@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from affine_transport import (
     DimensionMismatch,
@@ -20,6 +21,7 @@ from affine_transport import (
     procrustes,
     spd_sqrt,
 )
+from affine_transport.linalg import _require_finite
 from helpers import random_spd, spd_inv_sqrt
 
 seeds = st.integers(0, 2**32 - 1)
@@ -193,6 +195,24 @@ def test_gate_rejects_nan_entry(name, side):
     args[side][1, 0] = np.nan
     with pytest.raises(NonFinite):
         GATED[name](*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_require_finite_agrees_with_isfinite(data):
+    # empty and 0-d arrays, and one NaN or infinity at any position of the others
+    shapes = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    a = data.draw(arrays(np.float64, shapes, elements=finite))
+    if a.size and data.draw(st.booleans()):
+        a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+    if np.isfinite(a).all():
+        _require_finite(a, "a")
+    else:
+        with pytest.raises(NonFinite, match="^a contains NaN or infinite entries$"):
+            _require_finite(a, "a")
 
 
 @pytest.mark.parametrize("name", sorted(set(GATED) - {"estimate_moments"}))

@@ -24,6 +24,7 @@ from affine_transport import (
     subset,
 )
 from affine_transport.cli import learning_curve
+from affine_transport.linalg import sample_matrix
 from helpers import linear_pair, puck_pair
 
 N = 20_000
@@ -34,6 +35,9 @@ MAX_LOAD_ROWS_MULTIPLE = 1.2
 # fit, estimate_moments and at_map read the rows in place and sum their
 # moments over 64 KiB chunks; they peak at 0.11-0.13x of these rows
 MAX_MOMENTS_ROWS_MULTIPLE = 0.15
+# the sample-matrix gate reads the rows in place and tests them for NaN and
+# infinity by their min and max, with no mask of the rows
+MAX_GATE_ROWS_MULTIPLE = 0.01
 # bytes the learning curve's peak may grow by from 20 to 2000 repeats
 MAX_CURVE_GROWTH = 1 << 20
 # the curve scores a holdout this large one map at a time, with the errors
@@ -64,7 +68,9 @@ def _peak_bytes(fn, *args) -> int:
 
 
 @pytest.mark.parametrize(
-    "step", ["load_csv", "save_dataset", "save_pair", "fit", "estimate_moments", "at_map"]
+    "step",
+    ["load_csv", "save_dataset", "save_pair", "fit", "estimate_moments", "at_map",
+     "sample_matrix"],
 )
 def test_peak_memory_is_a_small_multiple_of_the_rows(saved_pair, tmp_path, step):
     source, target, path = saved_pair
@@ -75,9 +81,11 @@ def test_peak_memory_is_a_small_multiple_of_the_rows(saved_pair, tmp_path, step)
         "fit": (fit, source, target),
         "estimate_moments": (estimate_moments, source.rows),
         "at_map": (at_map, source.rows, target.rows),
+        "sample_matrix": (sample_matrix, source.rows, "rows"),
     }
     bound = {
         "load_csv": MAX_LOAD_ROWS_MULTIPLE,
+        "sample_matrix": MAX_GATE_ROWS_MULTIPLE,
         **dict.fromkeys(("fit", "estimate_moments", "at_map"), MAX_MOMENTS_ROWS_MULTIPLE),
     }.get(step, MAX_ROWS_MULTIPLE)
     peak = _peak_bytes(*calls[step])

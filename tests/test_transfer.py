@@ -207,6 +207,14 @@ def test_model_constructor_rejects_tampering():
         TransferModel(np.eye(3), AffineMap(skew, np.zeros(3)), 1, 1, good.meta)
     with pytest.raises(MalformedModel):
         TransferModel(np.eye(3), AffineMap(np.diag([1.0, 1.0, -1.0]), np.zeros(3)), 1, 1, good.meta)
+    nan = np.full((3, 3), np.nan)
+    with pytest.raises(MalformedModel, match="^rotation contains NaN or infinite entries$"):
+        TransferModel(nan, good.at, 1, 1, good.meta)
+    for a in (nan, np.diag([1.0, np.inf, 1.0])):
+        with pytest.raises(
+            MalformedModel, match="^transport matrix contains NaN or infinite entries$"
+        ):
+            TransferModel(np.eye(3), AffineMap(a, np.zeros(3)), 1, 1, good.meta)
     with pytest.raises(MalformedModel, match=r"^rotation has shape \(2, 2\), expected \(3, 3\)$"):
         TransferModel(np.eye(2), good.at, 1, 1, good.meta)
     with pytest.raises(
