@@ -217,26 +217,6 @@ class DomainSpec:
             if any(i < 0 or i >= d for i in idx):
                 raise BadSpec(f"{name} indices out of range for dimension {d}: {idx}")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DomainSpec":
-        """Build a spec from a plain dict, e.g. one section of a spec file."""
-        if not isinstance(doc, dict):
-            raise BadSpec(f"domain spec must be a mapping, got {type(doc).__name__}")
-        doc = dict(doc)
-        if "friction" in doc:
-            fr = doc.pop("friction")
-            try:
-                doc["friction_x"], doc["friction_y"] = fr
-            except (TypeError, ValueError):
-                raise BadSpec(f"friction must be a pair of numbers, got {fr!r}")
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise BadSpec(f"unknown domain spec fields: {sorted(unknown)}")
-        if "kind" not in doc:
-            raise BadSpec("domain spec is missing 'kind'")
-        return cls(**doc)
-
 
 _PAIR_SPEC_KEYS = {
     "kind",
@@ -248,6 +228,7 @@ _PAIR_SPEC_KEYS = {
     "source",
     "target",
 }
+_DOMAIN_SPEC_KEYS = {field.name for field in dataclasses.fields(DomainSpec)}
 
 
 def pair_specs(doc: dict, seed: int):
@@ -256,7 +237,9 @@ def pair_specs(doc: dict, seed: int):
 
     Both sides start from the shared fields (kind; for linear pairs the
     dynamics and controls, drawn from the seed unless given) and the side's
-    label, then take the side's own object on top. Raises BadSpec.
+    label, then take the side's own object on top, whose ``friction`` pair
+    sets ``friction_x`` and ``friction_y`` and whose other keys must be
+    ``DomainSpec`` fields. Raises BadSpec.
     """
     def spec_int(key: str) -> int:
         value = doc[key]
@@ -311,7 +294,17 @@ def pair_specs(doc: dict, seed: int):
         part = doc.get(side, {})
         if not isinstance(part, dict):
             raise BadSpec(f"spec field {side!r} must be an object, got {part!r}")
-        sides.append(DomainSpec.from_dict({**base, "label": side, **part}))
+        fields = {**base, "label": side, **part}
+        if "friction" in fields:
+            friction = fields.pop("friction")
+            try:
+                fields["friction_x"], fields["friction_y"] = friction
+            except (TypeError, ValueError):
+                raise BadSpec(f"friction must be a pair of numbers, got {friction!r}")
+        unknown = set(fields) - _DOMAIN_SPEC_KEYS
+        if unknown:
+            raise BadSpec(f"unknown domain spec fields: {sorted(unknown)}")
+        sides.append(DomainSpec(**fields))
     return n, k, sides[0], sides[1]
 
 

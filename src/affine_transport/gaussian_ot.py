@@ -48,7 +48,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Mean vector and symmetric PSD covariance of a normal distribution."""
+    """Mean vector and symmetric PSD covariance of a normal distribution.
+
+    The constructor checks shapes and symmetry only, so a NaN covariance (from
+    rows whose moments overflow) passes it. Each use runs ``_checked_eigh``,
+    which raises NonFinite naming the side: the source or target covariance
+    in ``gaussian_w2``, ``gaussian_ot_map`` and ``gelbrich_gap_bound``, and
+    ``sigma`` in ``normal_approx_bound``.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray

@@ -73,7 +73,7 @@ def sample_pair(x, y, names: tuple[str, str] = ("x", "y")) -> tuple[np.ndarray, 
     if xs.shape[0] != ys.shape[0]:
         raise PairingMismatch(f"sample counts differ: {xs.shape[0]} vs {ys.shape[0]}")
     if xs.shape[1] != ys.shape[1]:
-        raise DimensionMismatch(f"sample widths differ: {xs.shape[1]} vs {ys.shape[1]}")
+        raise DimensionMismatch(f"sample sets have widths {xs.shape[1]} and {ys.shape[1]}")
     return xs, ys
 
 
@@ -111,10 +111,11 @@ def _checked_eigh(m, name: str):
     check_symmetric(m, name)
     w, v = np.linalg.eigh(m)
     scale = np.maximum(w[..., -1], 0.0)
-    bad = _first(w[..., 0] < -INDEFINITE_TOL * scale, w[..., 0], scale)
+    bad = _first(w[..., 0] < -INDEFINITE_TOL * scale, w[..., 0], w[..., -1])
     if bad:
         raise IndefiniteMatrix(
-            f"{name} has eigenvalue {bad[0]:.3e} below -{INDEFINITE_TOL:g} * {bad[1]:.3e}"
+            f"{name} has eigenvalue {bad[0]:.3e} below -{INDEFINITE_TOL:g} * max(lambda_max, 0),"
+            f" with lambda_max {bad[1]:.3e}"
         )
     return w, v, scale
 

@@ -137,10 +137,11 @@ def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarra
     return r, a, b
 
 
-def _check_maps(r: np.ndarray, a: np.ndarray) -> None:
-    """Raise MalformedModel unless R is finite and orthogonal and A passes
-    ``_checked_eigh`` (finite, symmetric, PSD), for one (R, A) pair or stacks
-    (..., w, w) of them; the first failing pair of a stack is the one reported."""
+def _check_maps(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise MalformedModel unless R is finite and orthogonal, A passes
+    ``_checked_eigh`` (finite, symmetric, PSD) and the offset b is finite, for
+    one map (R and A (w, w), b (w,)) or stacks of them; each check reports the
+    first failing map of a stack, R's checks before A's before b's."""
     try:
         _require_finite(r, "rotation")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -149,6 +150,7 @@ def _check_maps(r: np.ndarray, a: np.ndarray) -> None:
         if bad:
             raise MalformedModel(f"rotation is not orthogonal: |R^T R - I| = {bad[0]:.3e}")
         _checked_eigh(a, "transport matrix")
+        _require_finite(b, "offset")
     except (NonFinite, NotSymmetric, IndefiniteMatrix) as exc:
         raise MalformedModel(str(exc)) from None
 
@@ -172,9 +174,9 @@ class TransferModel:
 
     ``rotation`` is orthogonal, ``at`` is the transport map applied after
     it, and ``composed`` collapses both into a single affine map. The
-    constructor checks that R is finite and orthogonal and that the transport
-    matrix passes the symmetric-PSD rule covariances pass, so a tampered
-    model cannot be constructed.
+    constructor checks that R is finite and orthogonal, that the transport
+    matrix passes the symmetric-PSD rule covariances pass and that the offset
+    is finite, so a tampered model cannot be constructed.
     """
 
     rotation: np.ndarray
@@ -194,7 +196,7 @@ class TransferModel:
             raise MalformedModel(
                 f"transport matrix has shape {self.at.matrix.shape}, expected ({width}, {width})"
             )
-        _check_maps(r, self.at.matrix)
+        _check_maps(r, self.at.matrix, self.at.offset)
         object.__setattr__(self, "rotation", r)
 
     @property
@@ -298,11 +300,13 @@ class TransferReport:
     eval_on_fit_data: bool
 
 
-def _check_eval_inputs(dim: int, source: TransitionDataset, target: TransitionDataset) -> None:
-    """The checks ``evaluate_pointwise`` makes of a paired dataset before a
-    map of width ``dim`` is applied to it."""
-    if source.width != dim:
-        raise DimensionMismatch(f"datasets have width {source.width}, model expects {dim}")
+def _check_eval_inputs(dims, source: TransitionDataset, target: TransitionDataset) -> None:
+    """The checks ``evaluate_pointwise`` makes of a paired dataset before a map
+    fitted on rows of ``dims``, a ``(state_dim, action_dim)``, is applied to it."""
+    if (source.state_dim, source.action_dim) != dims:
+        raise DimensionMismatch(
+            f"datasets have dims ({source.state_dim}, {source.action_dim}), model expects {dims}"
+        )
     check_paired(source, target)
     if source.n < 2:
         raise TooFewSamples(f"need at least 2 paired rows to evaluate, got {source.n}")
@@ -319,35 +323,32 @@ def evaluate_pointwise(
     against the target, and the transported source rows. Raises NonFinite
     if either statistic overflows.
     """
-    _check_eval_inputs(model.dim, source, target)
+    _check_eval_inputs((model.state_dim, model.action_dim), source, target)
     with np.errstate(over="ignore", invalid="ignore"):
         before = _error_stats(_row_norms(source.next_states - target.next_states), "source")
     composed = model.composed
     # a stack of one map through the scoring the learning curve stacks
     transported, errors = _next_state_errors(
-        composed.matrix[None], composed.offset[None], model.state_dim, source, target
+        composed.matrix[None], composed.offset[None], source, target
     )
     return before, _error_stats(errors, "transported"), transported[0]
 
 
-def _next_state_errors(matrices, offsets, state_dim: int, source, target):
+def _next_state_errors(matrices, offsets, source, target):
     """``(transported, errors)`` of a stack of maps x -> matrix x + offset,
     (k, w, w) matrices and (k, w) offsets: the source rows under each map,
     (k, m, w), as ``AffineMap.apply`` maps them, and the (k, m) per-row
-    Euclidean errors of their last ``state_dim`` columns, the map's next
-    states, against the target's next states.
+    Euclidean errors of their next-state columns against the target's next
+    states. The maps' dims are the rows' ones, as ``_check_eval_inputs`` checks.
 
-    DimensionMismatch if the map's state dimension is not the target's. A
-    non-finite prediction or an overflowing error gives a non-finite error,
+    A non-finite prediction or an overflowing error gives a non-finite error,
     not a numpy warning, for ``_error_stats`` to reject. ``evaluate_pointwise``
     and ``learning_curve`` both score maps through it, so they agree bit for bit.
     """
-    if state_dim != target.state_dim:
-        raise DimensionMismatch(f"sample widths differ: {state_dim} vs {target.state_dim}")
     transported = source.rows @ np.swapaxes(matrices, -1, -2)
     transported += offsets[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        return transported, _row_norms(transported[..., -state_dim:] - target.next_states)
+        return transported, _row_norms(transported[..., -target.state_dim:] - target.next_states)
 
 
 def evaluate(
@@ -427,8 +428,8 @@ def learning_curve(
                 f"fit size {size} exceeds the {pool_s.n} rows available after holdout"
             )
     check_paired(pool_s, pool_t)
-    _check_eval_inputs(pool_s.width, hold_s, hold_t)
-    w, sd = pool_s.width, pool_s.state_dim
+    _check_eval_inputs((pool_s.state_dim, pool_s.action_dim), hold_s, hold_t)
+    w = pool_s.width
     block = max(1, min(repeats, _CURVE_BLOCK))
     per_score = max(1, _STACK_BYTES // hold_s.rows.nbytes)
     # one block's moments, filled in place for every block: allocating them
@@ -451,11 +452,11 @@ def learning_curve(
                     pool_s.rows[idx], pool_t.rows[idx]
                 )
             r, a, b = _fit_moments(size, mean_s[:k], mean_t[:k], gram[:k])
-            _check_maps(r, a)
+            _check_maps(r, a, b)
             maps = a @ r
             for i in range(0, k, per_score):
                 sub = slice(i, min(i + per_score, k))
-                per_row = _next_state_errors(maps[sub], b[sub], sd, hold_s, hold_t)[1]
+                per_row = _next_state_errors(maps[sub], b[sub], hold_s, hold_t)[1]
                 with np.errstate(over="ignore"):
                     errors[start + i : start + sub.stop] = per_row.mean(axis=-1)
         points.append(LearningCurvePoint(size, *_error_stats(errors, "held-out"), repeats))
@@ -503,10 +504,6 @@ def load_model(path) -> TransferModel:
     if state_dim < 1 or action_dim < 1:
         raise MalformedModel(
             f"model dimensions must be positive, got state_dim={state_dim} action_dim={action_dim}"
-        )
-    if dim != 2 * state_dim + action_dim:
-        raise MalformedModel(
-            f"dim {dim} does not equal 2*state_dim+action_dim = {2 * state_dim + action_dim}"
         )
     arrays = {}
     for name, size in (("R", dim * dim), ("A", dim * dim), ("b", dim)):

@@ -11,6 +11,7 @@ import pytest
 
 from affine_transport import (
     BadSpec,
+    DimensionMismatch,
     TooFewSamples,
     TransitionDataset,
     evaluate_pointwise,
@@ -445,8 +446,29 @@ def test_eval_state_dim_mismatch_of_equal_width_exit_code(tmp_path, capsys):
     capsys.readouterr()
     code = run("eval", "--model", model_path, "--source", pairs["eval"] / "source.csv",
                "--target", pairs["eval"] / "target.csv", "--out", tmp_path / "r.json")
-    assert code == 4
-    assert capsys.readouterr().err.startswith("error[DimensionMismatch]")
+    assert (code, capsys.readouterr().err) == (
+        4, "error[DimensionMismatch]: datasets have dims (2, 4), model expects (3, 2)\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_of_equal_width_dims_names_both_pairs(tmp_path, capsys):
+    # a puck model (2, 2) on (1, 4) rows, both of width 6
+    puck, lin14 = tmp_path / "puck", tmp_path / "lin14"
+    puck.mkdir()
+    lin14.mkdir()
+    assert run("synth", "--kind", "puck", "--n", 50, "--out", puck) == 0
+    assert run("synth", "--kind", "linear", "--n", 50, "--state-dim", 1,
+               "--action-dim", 4, "--out", lin14) == 0
+    model_path = tmp_path / "model.json"
+    assert run("fit", "--source", puck / "source.csv", "--target", puck / "target.csv",
+               "--out", model_path) == 0
+    capsys.readouterr()
+    code = run("eval", "--model", model_path, "--source", lin14 / "source.csv",
+               "--target", lin14 / "target.csv", "--out", tmp_path / "r.json")
+    assert (code, capsys.readouterr().err) == (
+        4, "error[DimensionMismatch]: datasets have dims (1, 4), model expects (2, 2)\n"
+    )
     assert not (tmp_path / "r.json").exists()
 
 
@@ -552,6 +574,22 @@ def _curve_pools():
     pool_s, hold_s = split(src, (0.75, 0.25), 4)
     pool_t, hold_t = split(tgt, (0.75, 0.25), 4)
     return pool_s, pool_t, hold_s, hold_t
+
+
+def test_learning_curve_api_checks_holdout_dims_before_any_fit(monkeypatch):
+    from affine_transport import transfer
+    from helpers import linear_pair
+
+    def refuse(*args):
+        raise AssertionError("the curve fitted a block")
+
+    pool_s, pool_t, _, _ = _curve_pools()
+    # (1, 4) rows have the puck pool's width, 6
+    hold_s, hold_t = linear_pair(4, 20, state_dim=1, action_dim=4)
+    monkeypatch.setattr(transfer, "_fit_moments", refuse)
+    line = r"^datasets have dims \(1, 4\), model expects \(2, 2\)$"
+    with pytest.raises(DimensionMismatch, match=line):
+        learning_curve(pool_s, pool_t, hold_s, hold_t, [8], 20, 4)
 
 
 def test_learning_curve_api_rejects_zero_repeats():
@@ -1122,6 +1160,13 @@ SPEC_LINES = {
     "controls-3x1": ({"kind": "linear", "n": 10, "dynamics": [[1, 0], [0, 1]],
                       "controls": [[1], [0], [0]]},
                      "controls must have 2 rows, got shape (3, 1)"),
+    "kind-missing": ({"n": 10}, "spec file must set kind to 'linear' or 'puck', got None"),
+    "source-list": ({"kind": "puck", "n": 10, "source": []},
+                    "spec field 'source' must be an object, got []"),
+    "friction-one-number": ({"kind": "puck", "n": 10, "source": {"friction": [0.2]}},
+                            "friction must be a pair of numbers, got [0.2]"),
+    "target-mass": ({"kind": "puck", "n": 10, "target": {"mass": 1}},
+                    "unknown domain spec fields: ['mass']"),
 }
 
 
@@ -1140,6 +1185,9 @@ MODEL_LINES = {
                  "field 'R' must be a flat list of finite numbers"),
     "state-dim-negative": (lambda doc: {**doc, "state_dim": -1},
                            "model dimensions must be positive, got state_dim=-1 action_dim=2"),
+    # a dim its arrays match but state_dim and action_dim do not
+    "dim-disagrees": (lambda doc: {**doc, "action_dim": 1},
+                      "rotation has shape (8, 8), expected (7, 7)"),
 }
 
 

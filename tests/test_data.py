@@ -18,6 +18,7 @@ from affine_transport import (
     gen_linear,
     gen_puck,
     load_csv,
+    pair_specs,
     rng_stream,
     save_dataset,
     split,
@@ -253,18 +254,11 @@ def test_gen_puck_rejects_bad_specs():
         DomainSpec("puck", noise_std=10**400)
 
 
-def test_spec_from_dict_friction_alias():
-    spec = DomainSpec.from_dict({"kind": "puck", "friction": [0.2, 0.3]})
-    assert spec.friction_x == 0.2 and spec.friction_y == 0.3
-
-
-def test_spec_from_dict_rejects_unknown_fields():
-    with pytest.raises(BadSpec):
-        DomainSpec.from_dict({"kind": "puck", "mass": 1.0})
-    with pytest.raises(BadSpec):
-        DomainSpec.from_dict({"label": "x"})  # no kind
-    with pytest.raises(BadSpec, match="^domain spec must be a mapping, got list$"):
-        DomainSpec.from_dict([])
+def test_pair_specs_friction_alias():
+    doc = {"kind": "puck", "n": 10, "source": {"friction": [0.2, 0.3]}}
+    _, _, source, target = pair_specs(doc, 0)
+    assert (source.friction_x, source.friction_y) == (0.2, 0.3)
+    assert (target.friction_x, target.friction_y) == (0.1, 0.1)
 
 
 def test_csv_round_trip(tmp_path):

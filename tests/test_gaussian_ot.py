@@ -11,6 +11,7 @@ from affine_transport import (
     DimensionMismatch,
     GaussianModel,
     IndefiniteMatrix,
+    NonFinite,
     SingularMatrix,
     TooFewSamples,
     at_map,
@@ -85,6 +86,25 @@ def test_distances_check_both_covariances(distance):
         message = f"^{side} covariance has eigenvalue -5.000e-01 "
         with pytest.raises(IndefiniteMatrix, match=message):
             distance(p, q)
+
+
+_NAN_MODEL_USES = {
+    "w2-source": (lambda nan, good: gaussian_w2(nan, good), "source covariance"),
+    "w2-target": (lambda nan, good: gaussian_w2(good, nan), "target covariance"),
+    "map-source": (lambda nan, good: gaussian_ot_map(nan, good), "source covariance"),
+    "map-target": (lambda nan, good: gaussian_ot_map(good, nan), "target covariance"),
+    "gap-source": (lambda nan, good: gelbrich_gap_bound(nan, good), "source covariance"),
+    "normal-bound": (lambda nan, good: normal_approx_bound(nan.covariance), "sigma"),
+}
+
+
+@pytest.mark.parametrize("use, name", list(_NAN_MODEL_USES.values()), ids=list(_NAN_MODEL_USES))
+def test_nan_covariance_is_rejected_where_it_is_used(use, name):
+    # the constructor checks shapes and symmetry only, so a NaN model exists;
+    # each use rejects it, naming its side, with no numpy warning first
+    nan = _gauss([0.0, 0.0], np.full((2, 2), np.nan))
+    with pytest.raises(NonFinite, match=f"^{name} contains NaN or infinite entries$"):
+        use(nan, _gauss([0.0, 0.0], np.eye(2)))
 
 
 @pytest.mark.parametrize("eigenvalues", [(1e6, 1.0, 0.0), (1.0, 1e-8)])

@@ -58,6 +58,24 @@ def test_sqrt_rejects_indefinite():
         spd_sqrt(np.diag([1.0, -0.1]))
 
 
+@pytest.mark.parametrize(
+    "diagonal, line",
+    [
+        # negative definite: the floor is -1e-6 * max(lambda_max, 0) = 0, and the
+        # message still names the matrix's own lambda_max
+        ((-1.0, -0.5), "m has eigenvalue -1.000e+00 below -1e-06 * max(lambda_max, 0), "
+                       "with lambda_max -5.000e-01"),
+        ((-1.0, 2.0), "m has eigenvalue -1.000e+00 below -1e-06 * max(lambda_max, 0), "
+                      "with lambda_max 2.000e+00"),
+    ],
+    ids=["negative-definite", "mixed-sign"],
+)
+def test_indefinite_message_names_the_largest_eigenvalue(diagonal, line):
+    from affine_transport.linalg import _checked_eigh
+
+    assert _message(_checked_eigh, np.diag(diagonal), "m") == (IndefiniteMatrix, line)
+
+
 def _message(call, *args, **kwargs):
     with pytest.raises(Exception) as info:
         call(*args, **kwargs)

@@ -215,6 +215,9 @@ def test_model_constructor_rejects_tampering():
             MalformedModel, match="^transport matrix contains NaN or infinite entries$"
         ):
             TransferModel(np.eye(3), AffineMap(a, np.zeros(3)), 1, 1, good.meta)
+    for offset in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(MalformedModel, match="^offset contains NaN or infinite entries$"):
+            TransferModel(np.eye(3), AffineMap(np.eye(3), offset), 1, 1, good.meta)
     with pytest.raises(MalformedModel, match=r"^rotation has shape \(2, 2\), expected \(3, 3\)$"):
         TransferModel(np.eye(2), good.at, 1, 1, good.meta)
     with pytest.raises(
@@ -223,25 +226,26 @@ def test_model_constructor_rejects_tampering():
         TransferModel(np.eye(3), AffineMap(np.eye(2), np.zeros(2)), 1, 1, good.meta)
 
 
-@pytest.mark.parametrize("which", ["rotation", "asymmetric", "indefinite"])
+@pytest.mark.parametrize("which", ["rotation", "asymmetric", "indefinite", "offset"])
 def test_stacked_model_checks_report_the_first_failing_map(which):
     from affine_transport.transfer import _check_maps
 
     skew = np.eye(3)
     skew[0, 1] = 0.5
-    r, a = {
-        "rotation": (skew, np.eye(3)),
-        "asymmetric": (np.eye(3), skew),
-        "indefinite": (np.eye(3), np.diag([1.0, 1.0, -1.0])),
+    eye, zero = np.eye(3), np.zeros(3)
+    r, a, b = {
+        "rotation": (skew, eye, zero),
+        "asymmetric": (eye, skew, zero),
+        "indefinite": (eye, np.diag([1.0, 1.0, -1.0]), zero),
+        "offset": (eye, eye, np.array([np.nan, 0.0, 0.0])),
     }[which]
     meta = FitMeta(n_fit=2, seed=None, source_hash="", target_hash="")
     with pytest.raises(MalformedModel) as single:
-        TransferModel(r, AffineMap(a, np.zeros(3)), 1, 1, meta)
+        TransferModel(r, AffineMap(a, b), 1, 1, meta)
     # the third map fails the same check as the second, with another value
-    eye = np.eye(3)
     r2 = 2.0 * r if which == "rotation" else r
     with pytest.raises(MalformedModel) as stacked:
-        _check_maps(np.stack([eye, r, r2]), np.stack([eye, a, 2.0 * a]))
+        _check_maps(np.stack([eye, r, r2]), np.stack([eye, a, 2.0 * a]), np.stack([zero, b, -b]))
     assert str(stacked.value) == str(single.value)
 
 
