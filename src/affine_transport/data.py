@@ -229,6 +229,11 @@ _PAIR_SPEC_KEYS = {
     "target",
 }
 _DOMAIN_SPEC_KEYS = {field.name for field in dataclasses.fields(DomainSpec)}
+# the side fields that only the other kind's generator reads
+_UNREAD_SIDE_KEYS = {
+    "linear": {"friction", "friction_x", "friction_y", "curl", "gravity"},
+    "puck": {"dynamics", "controls", "scales", "inverted", "disabled"},
+}
 
 
 def pair_specs(doc: dict, seed: int):
@@ -239,7 +244,7 @@ def pair_specs(doc: dict, seed: int):
     dynamics and controls, drawn from the seed unless given) and the side's
     label, then take the side's own object on top, whose ``friction`` pair
     sets ``friction_x`` and ``friction_y`` and whose other keys must be
-    ``DomainSpec`` fields. Raises BadSpec.
+    ``DomainSpec`` fields that the kind's generator reads. Raises BadSpec.
     """
     def spec_int(key: str) -> int:
         value = doc[key]
@@ -294,6 +299,9 @@ def pair_specs(doc: dict, seed: int):
         part = doc.get(side, {})
         if not isinstance(part, dict):
             raise BadSpec(f"spec field {side!r} must be an object, got {part!r}")
+        unread = set(part) & _UNREAD_SIDE_KEYS[kind]
+        if unread:
+            raise BadSpec(f"a {kind} domain never reads {side} fields {sorted(unread)}")
         fields = {**base, "label": side, **part}
         if "friction" in fields:
             friction = fields.pop("friction")

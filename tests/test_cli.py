@@ -1167,6 +1167,19 @@ SPEC_LINES = {
                             "friction must be a pair of numbers, got [0.2]"),
     "target-mass": ({"kind": "puck", "n": 10, "target": {"mass": 1}},
                     "unknown domain spec fields: ['mass']"),
+    # fields of the other kind, which its generator would ignore
+    "puck-target-scales": ({"kind": "puck", "n": 10,
+                            "target": {"scales": [2, 2], "inverted": [0]}},
+                           "a puck domain never reads target fields ['inverted', 'scales']"),
+    "puck-source-disabled": ({"kind": "puck", "n": 10, "source": {"disabled": [1]}},
+                             "a puck domain never reads source fields ['disabled']"),
+    "linear-target-friction": ({"kind": "linear", "n": 10,
+                                "target": {"friction": [0.1, 0.4], "curl": 0.3}},
+                               "a linear domain never reads target fields ['curl', 'friction']"),
+    "linear-source-gravity": ({"kind": "linear", "n": 10,
+                               "source": {"friction_x": 0.2, "friction_y": 0.3, "gravity": 1}},
+                              "a linear domain never reads source fields "
+                              "['friction_x', 'friction_y', 'gravity']"),
 }
 
 

@@ -1,10 +1,12 @@
 """Tests for the exact empirical W2 solver, its oracles, and pointwise errors."""
 
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from affine_transport import (
@@ -86,6 +88,43 @@ def test_solve_goes_through_the_module_level_names(monkeypatch):
     got = empirical_w2(x, y)
     assert calls == ["cdist", "linear_sum_assignment"]
     assert got.hex() == expected.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(1, 8), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([1.0, 1e-3, 1e3, 1e154]))
+@example(seed=0, d=1, n=1, m=1, scale=1e154)  # one entry, whose square overflows
+def test_cost_matrix_is_scipys_bit_for_bit(seed, d, n, m, scale):
+    # at scale 1e154 about half the squares overflow to inf, on both sides
+    import scipy.spatial.distance
+
+    from affine_transport.discrete_ot import cdist
+
+    rng = np.random.default_rng(seed)
+    x, y = scale * rng.uniform(-2.0, 2.0, (n, d)), scale * rng.uniform(-2.0, 2.0, (m, d))
+    with np.errstate(over="ignore"):
+        expected = scipy.spatial.distance.cdist(x, y, metric="sqeuclidean")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cdist(x, y)
+    assert got.shape == (n, m)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_solver_load_names_the_folder_it_searched(monkeypatch):
+    import importlib.machinery
+    import importlib.util
+
+    import affine_transport.discrete_ot as discrete_ot
+
+    # __wrapped__ loads afresh, past the cached solver
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
+    folder = re.escape(str(Path(importlib.util.find_spec("scipy").origin).parent / "optimize"))
+    with pytest.raises(ImportError, match=f"^scipy's assignment extension _lsap is not in {folder}$"):
+        discrete_ot._lsap.__wrapped__()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    with pytest.raises(ImportError, match="^the exact solve needs scipy, which is not installed$"):
+        discrete_ot._lsap.__wrapped__()
 
 
 def _tied(rng, n, d, distinct):

@@ -130,7 +130,7 @@ def test_learning_curve_peak_is_a_small_multiple_of_the_holdout():
 
 def test_exact_solve_peak_is_its_cost_matrix():
     source, target = puck_pair(2, 2048, noise=0.01)
-    empirical_w2(source.rows[:2], target.rows[:2])  # scipy loads outside the measurement
+    empirical_w2(source.rows[:2], target.rows[:2])  # the solver loads outside the measurement
     peak = _peak_bytes(empirical_w2, source.rows, target.rows)
     cost_bytes = source.n * target.n * 8
     assert peak <= MAX_SOLVE_COST_MULTIPLE * cost_bytes, (

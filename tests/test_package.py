@@ -104,5 +104,6 @@ def test_commands_that_make_no_exact_solve_never_load_scipy(tmp_path):
     score = loaded.pop("score")
     steps = ["import", "synth", "learning-curve", "fit above the cap", "fit without a manifest"]
     assert loaded == dict.fromkeys(steps, [])
-    # the first exact solve loads the assignment solver
-    assert "scipy.optimize" in score
+    # the first exact solve loads scipy's assignment extension and no other
+    # scipy module
+    assert score == ["scipy.optimize._lsap"]
