@@ -232,6 +232,16 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 # the synth arguments that combine with --spec; every other one is a pair flag
 _SPEC_ARGS = {"command", "func", "spec", "n", "seed", "out"}
+# the pair flags that only one kind's generator reads
+_KIND_ARGS = {
+    "puck": {"source_friction", "target_friction", "source_curl", "target_curl"},
+    "linear": {"state_dim", "action_dim", "source_scales", "target_scales", "source_invert",
+               "target_invert", "source_disable", "target_disable"},
+}
+
+
+def _flag_names(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in sorted(names))
 
 
 def _doc_from_flags(args) -> dict:
@@ -242,6 +252,10 @@ def _doc_from_flags(args) -> dict:
         raise UsageError("synth needs --kind (or a --spec file)")
     if args.n is None:
         raise UsageError("synth needs --n (or a --spec file with 'n')")
+    other = "puck" if kind == "linear" else "linear"
+    unread = set(flags) & _KIND_ARGS[other]
+    if unread:
+        raise UsageError(f"--kind {kind} takes no {other} flags, got {_flag_names(unread)}")
     doc = {"kind": kind, "n": args.n}
     if kind == "linear":
         doc["state_dim"], doc["action_dim"] = flags.get("state_dim", 3), flags.get("action_dim", 2)
@@ -272,10 +286,10 @@ def _doc_from_flags(args) -> dict:
 
 def cmd_synth(args) -> int:
     if args.spec is not None:
-        pair_flags = sorted(set(vars(args)) - _SPEC_ARGS)
+        pair_flags = set(vars(args)) - _SPEC_ARGS
         if pair_flags:
-            names = ", ".join("--" + name.replace("_", "-") for name in pair_flags)
-            raise UsageError(f"--spec combines only with --n, --seed and --out, not with {names}")
+            raise UsageError("--spec combines only with --n, --seed and --out, not with "
+                             + _flag_names(pair_flags))
     out = Path(_require_out(args))
     if not out.is_dir():
         raise OSError(f"output directory does not exist: {out}")
@@ -404,7 +418,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AffineTransportError, OSError, UnicodeDecodeError, MemoryError) as exc:
+    except (AffineTransportError, OSError, UnicodeDecodeError, MemoryError, ImportError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
 

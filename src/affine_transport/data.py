@@ -229,7 +229,11 @@ _PAIR_SPEC_KEYS = {
     "target",
 }
 _DOMAIN_SPEC_KEYS = {field.name for field in dataclasses.fields(DomainSpec)}
-# the side fields that only the other kind's generator reads
+# the top-level and side fields that only the other kind's generator reads
+_UNREAD_PAIR_KEYS = {
+    "linear": set(),
+    "puck": {"state_dim", "action_dim", "dynamics", "controls"},
+}
 _UNREAD_SIDE_KEYS = {
     "linear": {"friction", "friction_x", "friction_y", "curl", "gravity"},
     "puck": {"dynamics", "controls", "scales", "inverted", "disabled"},
@@ -244,7 +248,9 @@ def pair_specs(doc: dict, seed: int):
     dynamics and controls, drawn from the seed unless given) and the side's
     label, then take the side's own object on top, whose ``friction`` pair
     sets ``friction_x`` and ``friction_y`` and whose other keys must be
-    ``DomainSpec`` fields that the kind's generator reads. Raises BadSpec.
+    ``DomainSpec`` fields that the kind's generator reads. A field that only
+    the other kind reads, at the top level or on a side, is an error. Raises
+    BadSpec.
     """
     def spec_int(key: str) -> int:
         value = doc[key]
@@ -256,6 +262,9 @@ def pair_specs(doc: dict, seed: int):
     kind = doc.get("kind")
     if kind not in ("linear", "puck"):
         raise BadSpec(f"spec file must set kind to 'linear' or 'puck', got {kind!r}")
+    unread = set(doc) & _UNREAD_PAIR_KEYS[kind]
+    if unread:
+        raise BadSpec(f"a {kind} pair never reads spec file fields {sorted(unread)}")
     if doc.get("n") is None:
         raise BadSpec("sample count is missing: set 'n' in the spec file or pass --n")
     n = spec_int("n")

@@ -4,12 +4,15 @@ With uniform weights on n points per side, the Kantorovich problem has a
 permutation solution, so the exact distance reduces to a linear assignment
 over the squared-distance cost matrix, which is filled in numpy. The
 assignment solver (Crouse 2016) is scipy's compiled extension, loaded by
-itself at the first solve, without the rest of scipy. It starts from zero
-duals; adding a constant to a row or a column of the costs changes no
-assignment's rank, so each solve first shifts the costs by column prices
-from a forward auction (Bertsekas 1988), stopped once at most ceil(n/200)
-rows are unassigned, and the solver, still exact, finishes from
-near-optimal duals.
+itself at the first solve, without the rest of scipy. It keeps duals only
+for its columns and starts them at zero. Adding a constant to a row or a
+column of the costs changes no assignment's rank, so each solve first
+shifts the costs by column prices from a forward auction (Bertsekas 1988),
+stopped once at most ceil(n/200) rows are unassigned, then by each row's
+minimum, and hands the solver the transpose: its columns are the auction's
+bidders, and their zero duals are each bidder's exact best response under
+the prices, where the prices themselves are only eps-accurate. The solver,
+still exact, finishes from near-optimal duals.
 """
 
 from __future__ import annotations
@@ -94,9 +97,12 @@ def empirical_w2(x: np.ndarray, y: np.ndarray) -> float:
     Solves the assignment problem on the squared Euclidean cost matrix,
     shifted by the auction's column prices and then by each row's minimum,
     and returns the square root of the mean squared distance over the
-    optimal matching, summed from the points. The shifts change no
-    assignment's rank, so the matching is optimal for the unshifted costs,
-    up to ties and the shifts' rounding. Deterministic for fixed inputs.
+    optimal matching, summed from the points. The solver runs on the
+    shifted matrix transposed in place, so that each of its columns has
+    minimum 0, which its zero starting duals match exactly. The shifts
+    change no assignment's rank, so the matching is optimal for the
+    unshifted costs, up to ties and the shifts' rounding. Deterministic for
+    fixed inputs.
 
     Raises PairingMismatch if the sets differ in count or are empty,
     DimensionMismatch if they differ in width, TooLarge above 4096 points
@@ -121,15 +127,34 @@ def empirical_w2(x: np.ndarray, y: np.ndarray) -> float:
         cost *= 0.25
     cost += _auction_prices(cost)
     cost -= cost.min(axis=1)[:, None]
-    rows, cols = linear_sum_assignment(cost)
+    _transpose(cost)
+    # the solver's rows are the targets; cols[i] is source i's target
+    targets, sources = linear_sum_assignment(cost)
+    cols = np.empty(n, dtype=np.intp)
+    cols[sources] = targets
     # the costs are shifted, so the total comes from the points, each pair
     # summed one column at a time as cdist sums it, to the same bits
     sq = np.zeros(n)
     for k in range(xs.shape[1]):
-        diff = xs[rows, k] - ys[cols, k]
+        diff = xs[:, k] - ys[cols, k]
         sq += diff * diff
     total = float(sq.sum()) / n
     return float(np.sqrt(max(total, 0.0)))
+
+
+def _transpose(a: np.ndarray) -> None:
+    """Transpose the square matrix a in place, swapping (64, 64) tiles
+    through one reused tile buffer, so no second n-by-n array is made."""
+    n, block = a.shape[0], 64
+    buf = np.empty((block, block))
+    for i in range(0, n, block):
+        for j in range(i, n, block):
+            upper, lower = a[i : i + block, j : j + block], a[j : j + block, i : i + block]
+            held = buf[: upper.shape[0], : upper.shape[1]]
+            np.copyto(held, lower.T)
+            if j > i:
+                lower[...] = upper.T
+            upper[...] = held
 
 
 def _auction_prices(cost: np.ndarray) -> np.ndarray:

@@ -1120,6 +1120,15 @@ USAGE_LINES = {
                          "--holdout-fraction must be in (0, 1), got 1.5"),
     "negative-seed": (["synth", "--kind", "puck", "--n", "10", "--seed", "-1", "--out", "{tmp}"],
                       "argument --seed: expected a non-negative integer, got -1"),
+    # flags that only the other kind's generator reads
+    "linear-with-puck-flags": (["synth", "--kind", "linear", "--n", "10", "--target-friction",
+                                "0.1,0.4", "--target-curl", "0.3", "--out", "{tmp}"],
+                               "--kind linear takes no puck flags, got --target-curl, "
+                               "--target-friction"),
+    "puck-with-linear-flags": (["synth", "--kind", "puck", "--n", "10", "--target-scales", "2,2",
+                                "--state-dim", "3", "--out", "{tmp}"],
+                               "--kind puck takes no linear flags, got --state-dim, "
+                               "--target-scales"),
 }
 
 
@@ -1138,6 +1147,26 @@ def test_module_entry_point_exits_with_mains_code(tmp_path):
                           timeout=60)
     line = USAGE_LINES["synth-without-kind"][1]
     assert (proc.returncode, proc.stderr) == (1, f"usage error: {line}\n")
+
+
+def test_missing_solver_is_one_error_line(int_work, monkeypatch, capsys):
+    import importlib.util
+
+    from affine_transport.discrete_ot import _lsap
+
+    pair = int_work / "pair"
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    _lsap.cache_clear()  # the solve loads the solver afresh
+    try:
+        capsys.readouterr()
+        assert run("score", "--source", pair / "source.csv", "--target", pair / "target.csv") == 5
+        assert capsys.readouterr().err == (
+            "error[ImportError]: the exact solve needs scipy, which is not installed\n"
+        )
+    finally:
+        _lsap.cache_clear()
 
 
 def test_empty_csv_with_a_manifest_is_malformed(int_work, tmp_path, capsys):
@@ -1176,6 +1205,13 @@ SPEC_LINES = {
     "linear-target-friction": ({"kind": "linear", "n": 10,
                                 "target": {"friction": [0.1, 0.4], "curl": 0.3}},
                                "a linear domain never reads target fields ['curl', 'friction']"),
+    "puck-dynamics": ({"kind": "puck", "n": 10, "state_dim": 3,
+                       "dynamics": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                      "a puck pair never reads spec file fields ['dynamics', 'state_dim']"),
+    "puck-action-dim-controls": ({"kind": "puck", "n": 10, "action_dim": 2,
+                                  "controls": [[1, 0], [0, 1]]},
+                                 "a puck pair never reads spec file fields "
+                                 "['action_dim', 'controls']"),
     "linear-source-gravity": ({"kind": "linear", "n": 10,
                                "source": {"friction_x": 0.2, "friction_y": 0.3, "gravity": 1}},
                               "a linear domain never reads source fields "

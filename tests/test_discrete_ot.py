@@ -90,6 +90,36 @@ def test_solve_goes_through_the_module_level_names(monkeypatch):
     assert got.hex() == expected.hex()
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_block_transpose_is_the_transpose(n):
+    from affine_transport.discrete_ot import _transpose
+
+    a = np.random.default_rng(n).standard_normal((n, n))
+    expected = a.T.copy()
+    _transpose(a)
+    assert np.array_equal(a, expected)
+
+
+def test_solver_columns_are_the_bidders(monkeypatch):
+    # the solver starts from zero column duals; on the transposed, shifted
+    # matrix every column's minimum is exactly 0, so they are exact
+    import affine_transport.discrete_ot as discrete_ot
+
+    x, y = (side.rows for side in puck_pair(3, 300, noise=0.01))
+    handed = []
+    original = discrete_ot.linear_sum_assignment
+
+    def captured(cost):
+        handed.append(cost.copy())
+        return original(cost)
+
+    monkeypatch.setattr(discrete_ot, "linear_sum_assignment", captured)
+    assert empirical_w2(x, y).hex() == scipy_w2(x, y).hex()
+    (cost,) = handed
+    assert np.array_equal(cost.min(axis=0), np.zeros(300))
+    assert not np.array_equal(cost.min(axis=1), np.zeros(300))
+
+
 @settings(max_examples=200, deadline=None)
 @given(seeds, st.integers(1, 8), st.integers(1, 40), st.integers(1, 40),
        st.sampled_from([1.0, 1e-3, 1e3, 1e154]))
