@@ -218,14 +218,14 @@ def _require_out(args) -> str:
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag} expects comma separated numbers, got {text!r}")
 
 
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag} expects comma separated integers, got {text!r}")
 
@@ -265,7 +265,7 @@ def _doc_from_flags(args) -> dict:
             "noise_std": flags.get(f"{side}_noise", flags.get("noise", 0.0)),
         }
         if kind == "puck":
-            text = flags.get(f"{side}_friction") or default_friction
+            text = flags.get(f"{side}_friction", default_friction)
             friction = _float_list(text, f"--{side}-friction")
             if len(friction) != 2:
                 raise UsageError(f"--{side}-friction expects exactly two numbers, got {text!r}")
@@ -278,7 +278,7 @@ def _doc_from_flags(args) -> dict:
                 ("disabled", "disable", _int_list),
             ):
                 text = flags.get(f"{side}_{name}")
-                if text:
+                if text is not None:
                     part[field] = parse(text, f"--{side}-{name}")
         doc[side] = part
     return doc
@@ -358,7 +358,7 @@ def cmd_eval(args) -> int:
 
 def cmd_learning_curve(args) -> int:
     out = _require_out(args)
-    sizes = _int_list(args.sizes, "--sizes")
+    sizes = _int_list(args.sizes, "--sizes") if args.sizes else []
     if not sizes or any(s < 2 for s in sizes):
         raise UsageError(f"--sizes needs fit sizes of at least 2, got {args.sizes!r}")
     if not 0.0 < args.holdout_fraction < 1.0:
@@ -407,17 +407,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _configure_logging()
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    _configure_logging()
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (AffineTransportError, OSError, UnicodeDecodeError, MemoryError, ImportError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

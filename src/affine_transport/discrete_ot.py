@@ -28,11 +28,7 @@ import numpy as np
 from .errors import NonFinite, PairingMismatch, TooLarge
 from .linalg import sample_pair
 
-__all__ = [
-    "empirical_w2",
-    "pointwise_error",
-    "MAX_EXACT",
-]
+__all__ = ["empirical_w2", "MAX_EXACT"]
 
 MAX_EXACT = 4096
 
@@ -216,33 +212,3 @@ def _auction_prices(cost: np.ndarray) -> np.ndarray:
         if 16 * cols.size < bid.size:
             break
     return price
-
-
-def pointwise_error(predicted: np.ndarray, actual: np.ndarray):
-    """Per-row Euclidean errors between paired predictions and ground truth.
-
-    Returns ``(mean, std, per_sample)`` with the population standard
-    deviation (ddof = 0). Raises NonFinite if the mean or the std overflows.
-    """
-    p, a = sample_pair(predicted, actual, ("predicted", "actual"))
-    # an error that overflows is inf (its std NaN), not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        per = _row_norms(p - a)
-    return (*_error_stats(per, "predicted"), per)
-
-
-def _error_stats(errors: np.ndarray, whose: str) -> tuple[float, float]:
-    """(mean, population std) of per-row errors; NonFinite unless both are finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = float(errors.mean()), float(errors.std())
-    if not np.isfinite(stats).all():
-        raise NonFinite(f"{whose} next-state errors overflow")
-    return stats
-
-
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, squared in place: the bits of
-    ``np.linalg.norm(diff, axis=-1)`` without its two copies. Overwrites diff."""
-    np.multiply(diff, diff, out=diff)
-    norms = np.add.reduce(diff, axis=-1)
-    return np.sqrt(norms, out=norms)

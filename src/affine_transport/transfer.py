@@ -36,7 +36,7 @@ from .data import (
     dataset_fingerprint,
     rng_stream,
 )
-from .discrete_ot import _error_stats, _row_norms, empirical_w2, pointwise_error
+from .discrete_ot import empirical_w2
 from .errors import (
     BadSpec,
     DegenerateInput,
@@ -47,8 +47,8 @@ from .errors import (
     NotSymmetric,
     TooFewSamples,
 )
-# at_map and pointwise_error are not called here; they stay bound because
-# perfbench/tracing.py wraps transfer.at_map and transfer.pointwise_error
+# at_map is not called here; it stays bound because perfbench/tracing.py
+# wraps transfer.at_map
 from .gaussian_ot import (
     AffineMap,
     _moments,
@@ -70,6 +70,7 @@ __all__ = [
     "affinity_score",
     "evaluate",
     "evaluate_pointwise",
+    "pointwise_error",
     "LearningCurvePoint",
     "learning_curve",
     "save_model",
@@ -187,14 +188,12 @@ class TransferModel:
 
     def __post_init__(self):
         r = _readonly(np.asarray(self.rotation, dtype=np.float64))
-        width = 2 * self.state_dim + self.action_dim
-        if r.ndim != 2 or r.shape != (width, width):
+        d = self.dim
+        if r.shape != (d, d):
+            raise MalformedModel(f"rotation has shape {r.shape}, expected ({d}, {d})")
+        if self.at.matrix.shape != (d, d):
             raise MalformedModel(
-                f"rotation has shape {r.shape}, expected ({width}, {width})"
-            )
-        if self.at.matrix.shape != (width, width):
-            raise MalformedModel(
-                f"transport matrix has shape {self.at.matrix.shape}, expected ({width}, {width})"
+                f"transport matrix has shape {self.at.matrix.shape}, expected ({d}, {d})"
             )
         _check_maps(r, self.at.matrix, self.at.offset)
         object.__setattr__(self, "rotation", r)
@@ -351,6 +350,36 @@ def _next_state_errors(matrices, offsets, source, target):
         return transported, _row_norms(transported[..., -target.state_dim:] - target.next_states)
 
 
+def pointwise_error(predicted: np.ndarray, actual: np.ndarray):
+    """Per-row Euclidean errors between paired predictions and ground truth.
+
+    Returns ``(mean, std, per_sample)`` with the population standard
+    deviation (ddof = 0). Raises NonFinite if the mean or the std overflows.
+    """
+    p, a = sample_pair(predicted, actual, ("predicted", "actual"))
+    # an error that overflows is inf (its std NaN), not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        per = _row_norms(p - a)
+    return (*_error_stats(per, "predicted"), per)
+
+
+def _error_stats(errors: np.ndarray, whose: str) -> tuple[float, float]:
+    """(mean, population std) of per-row errors; NonFinite unless both are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = float(errors.mean()), float(errors.std())
+    if not np.isfinite(stats).all():
+        raise NonFinite(f"{whose} next-state errors overflow")
+    return stats
+
+
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, squared in place: the bits of
+    ``np.linalg.norm(diff, axis=-1)`` without its two copies. Overwrites diff."""
+    np.multiply(diff, diff, out=diff)
+    norms = np.add.reduce(diff, axis=-1)
+    return np.sqrt(norms, out=norms)
+
+
 def evaluate(
     model: TransferModel, source: TransitionDataset, target: TransitionDataset
 ) -> TransferReport:
@@ -430,7 +459,7 @@ def learning_curve(
     check_paired(pool_s, pool_t)
     _check_eval_inputs((pool_s.state_dim, pool_s.action_dim), hold_s, hold_t)
     w = pool_s.width
-    block = max(1, min(repeats, _CURVE_BLOCK))
+    block = min(repeats, _CURVE_BLOCK)
     per_score = max(1, _STACK_BYTES // hold_s.rows.nbytes)
     # one block's moments, filled in place for every block: allocating them
     # per stack, between each stack's short-lived gathered rows, fragments

@@ -240,6 +240,23 @@ def test_fit_identity_pair(tmp_path, capsys):
     assert "fit: n=400" in captured and "rho_aff=" in captured
 
 
+def test_fit_needs_two_rows_and_two_are_enough(tmp_path, capsys):
+    for n in (2, 1):
+        pair = tmp_path / str(n)
+        pair.mkdir()
+        assert run("synth", "--kind", "puck", "--n", n, "--out", pair) == 0
+    capsys.readouterr()
+    assert run("fit", "--source", tmp_path / "2/source.csv", "--target",
+               tmp_path / "2/target.csv", "--out", tmp_path / "model.json") == 0
+    assert capsys.readouterr().out.startswith("fit: n=2 dim=6 ")
+    assert run("fit", "--source", tmp_path / "1/source.csv", "--target",
+               tmp_path / "1/target.csv", "--out", tmp_path / "one.json") == 5
+    assert capsys.readouterr().err == (
+        "error[TooFewSamples]: need at least 2 paired rows to fit, got 1\n"
+    )
+    assert not (tmp_path / "one.json").exists()
+
+
 def test_fit_mismatched_counts_is_pairing_error(tmp_path):
     big = synth_linear(tmp_path, "big", n=100)
     small = synth_linear(tmp_path, "small", n=50)
@@ -1116,6 +1133,22 @@ USAGE_LINES = {
                         "synth needs --n (or a --spec file with 'n')"),
     "sizes-1": (CURVE + ["--sizes", "1"], "--sizes needs fit sizes of at least 2, got '1'"),
     "sizes-empty": (CURVE + ["--sizes", ""], "--sizes needs fit sizes of at least 2, got ''"),
+    # a given list flag with an empty value or an empty item is refused, not
+    # read as the default or as the remaining items
+    "sizes-empty-item": (CURVE + ["--sizes", "2,,3"],
+                         "--sizes expects comma separated integers, got '2,,3'"),
+    "friction-empty": (["synth", "--kind", "puck", "--n", "5", "--target-friction", "",
+                        "--out", "{tmp}"],
+                       "--target-friction expects comma separated numbers, got ''"),
+    "scales-empty": (["synth", "--kind", "linear", "--n", "5", "--target-scales", "",
+                      "--target-invert", "", "--out", "{tmp}"],
+                     "--target-scales expects comma separated numbers, got ''"),
+    "invert-empty": (["synth", "--kind", "linear", "--n", "5", "--target-invert", "",
+                      "--out", "{tmp}"],
+                     "--target-invert expects comma separated integers, got ''"),
+    "scales-leading-comma": (["synth", "--kind", "linear", "--n", "5", "--target-scales",
+                              ",2,3,1", "--out", "{tmp}"],
+                             "--target-scales expects comma separated numbers, got ',2,3,1'"),
     "holdout-fraction": (CURVE + ["--holdout-fraction", "1.5"],
                          "--holdout-fraction must be in (0, 1), got 1.5"),
     "negative-seed": (["synth", "--kind", "puck", "--n", "10", "--seed", "-1", "--out", "{tmp}"],

@@ -1,5 +1,7 @@
 """Tests for dataset generators, CSV round trips, splits, and random streams."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,25 @@ def test_gen_linear_rejects_bad_specs():
         gen_linear(DomainSpec("puck"), actions, 0)  # wrong kind
     with pytest.raises(BadSpec, match="^inverted must be a list of indices, got 5$"):
         DomainSpec("linear", inverted=5)
+
+
+@pytest.mark.parametrize("kind", ["linear", "puck"])
+def test_noise_is_added_to_the_next_states(kind):
+    if kind == "linear":
+        spec, generate, k = _linear_spec(label="noisy"), gen_linear, 1
+    else:
+        spec, generate, k = DomainSpec("puck", label="noisy", curl=0.3), gen_puck, 2
+    seed, n = 4, 64
+    actions = rng_stream(seed, "test-actions").standard_normal((n, k))
+    clean = generate(spec, actions, seed)
+    d, clean = clean.state_dim, clean.rows
+    # noise far above the next states keeps the rounding of (x + noise) - x
+    # far below the tolerance, whatever the draw
+    sigma = 1e3
+    noisy = generate(dataclasses.replace(spec, noise_std=sigma), actions, seed).rows
+    noise = sigma * rng_stream(seed, "noise", "noisy").standard_normal((n, d))
+    np.testing.assert_allclose(noisy[:, -d:] - clean[:, -d:], noise, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(noisy[:, :-d], clean[:, :-d])
 
 
 def test_gen_puck_zero_launch_stays_put():

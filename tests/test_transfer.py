@@ -167,6 +167,14 @@ def test_fit_rejects_mismatched_data():
         )
 
 
+def test_fit_needs_two_rows_and_two_are_enough():
+    src, tgt = linear_pair(0, 2)
+    assert fit(src, tgt).meta.n_fit == 2
+    one = [TransitionDataset(3, 2, ds.rows[:1], "one", 0) for ds in (src, tgt)]
+    with pytest.raises(TooFewSamples, match=r"^need at least 2 paired rows to fit, got 1$"):
+        fit(*one)
+
+
 def test_apply_identity_model():
     model = _identity_model()
     x = np.random.default_rng(6).standard_normal((7, 3))
