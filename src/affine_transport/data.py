@@ -174,6 +174,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "puck"):
             raise BadSpec(f"unknown domain kind {self.kind!r}")
+        if self.label == "":
+            raise BadSpec("domain label must not be empty")
         for field in ("noise_std", "friction_x", "friction_y", "curl", "gravity"):
             value = getattr(self, field)
             message = f"{field} must be a finite number, got {value!r}"
@@ -249,8 +251,9 @@ def pair_specs(doc: dict, seed: int):
     label, then take the side's own object on top, whose ``friction`` pair
     sets ``friction_x`` and ``friction_y`` and whose other keys must be
     ``DomainSpec`` fields that the kind's generator reads. A field that only
-    the other kind reads, at the top level or on a side, is an error. Raises
-    BadSpec.
+    the other kind reads, at the top level or on a side, is an error, and so
+    are equal labels, which would key both sides' noise to one stream.
+    Raises BadSpec.
     """
     def spec_int(key: str) -> int:
         value = doc[key]
@@ -322,7 +325,12 @@ def pair_specs(doc: dict, seed: int):
         if unknown:
             raise BadSpec(f"unknown domain spec fields: {sorted(unknown)}")
         sides.append(DomainSpec(**fields))
-    return n, k, sides[0], sides[1]
+    source, target = sides
+    # each side's noise stream is keyed by its label as text
+    if str(source.label) == str(target.label):
+        raise BadSpec(f"source and target share the label {source.label!r}, "
+                      "so they would draw the same noise")
+    return n, k, source, target
 
 
 def gen_linear(spec: DomainSpec, actions: np.ndarray, seed: int) -> TransitionDataset:

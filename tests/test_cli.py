@@ -1245,6 +1245,11 @@ SPEC_LINES = {
                                   "controls": [[1, 0], [0, 1]]},
                                  "a puck pair never reads spec file fields "
                                  "['action_dim', 'controls']"),
+    # each side's noise is keyed by its label
+    "same-labels": ({"kind": "puck", "n": 10, "source": {"label": "a"}, "target": {"label": "a"}},
+                    "source and target share the label 'a', so they would draw the same noise"),
+    "empty-label": ({"kind": "linear", "n": 10, "target": {"label": ""}},
+                    "domain label must not be empty"),
     "linear-source-gravity": ({"kind": "linear", "n": 10,
                                "source": {"friction_x": 0.2, "friction_y": 0.3, "gravity": 1}},
                               "a linear domain never reads source fields "
@@ -1257,6 +1262,20 @@ def test_bad_spec_files_print_their_line(tmp_path, capsys, doc, line):
     spec = tmp_path / "pair.json"
     spec.write_text(json.dumps(doc))
     assert run("synth", "--spec", spec, "--out", tmp_path) == 5
+    assert capsys.readouterr().err == f"error[BadSpec]: {line}\n"
+    assert not (tmp_path / "source.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "labels, line",
+    [(("a", "a"), "source and target share the label 'a', so they would draw the same noise"),
+     (("", "target"), "domain label must not be empty")],
+    ids=["same", "empty"],
+)
+def test_synth_label_flags_must_differ_and_be_given(tmp_path, capsys, labels, line):
+    code = run("synth", "--kind", "puck", "--n", 4, "--noise", 0.5, "--source-label", labels[0],
+               "--target-label", labels[1], "--target-friction", "0.1,0.1", "--out", tmp_path)
+    assert code == 5
     assert capsys.readouterr().err == f"error[BadSpec]: {line}\n"
     assert not (tmp_path / "source.csv").exists()
 

@@ -261,6 +261,7 @@ def test_gen_puck_rejects_bad_specs():
         ({"friction_y": -1.0}, r"friction must be strictly positive, got \(0.1, -1.0\)"),
         ({"gravity": -1.0}, "gravity must be strictly positive, got -1.0"),
         ({"noise_std": -0.1}, "noise_std must be >= 0, got -0.1"),
+        ({"label": ""}, "domain label must not be empty"),
     ):
         with pytest.raises(BadSpec, match=f"^{line}$"):
             DomainSpec("puck", **kw)
@@ -273,6 +274,20 @@ def test_gen_puck_rejects_bad_specs():
     # an integer too large for a float
     with pytest.raises(BadSpec, match="^noise_std must be a finite number, got 1000"):
         DomainSpec("puck", noise_std=10**400)
+
+
+@pytest.mark.parametrize("kind", ["linear", "puck"])
+def test_pair_specs_refuses_equal_labels(kind):
+    # the noise stream is keyed by the label, so equal labels would draw one
+    # noise for both sides
+    doc = {"kind": kind, "n": 4, "source": {"label": "a", "noise_std": 0.5},
+           "target": {"label": "a", "noise_std": 0.5}}
+    line = "^source and target share the label 'a', so they would draw the same noise$"
+    with pytest.raises(BadSpec, match=line):
+        pair_specs(doc, 0)
+    doc = {"kind": kind, "n": 4, "target": {"label": "source"}}
+    with pytest.raises(BadSpec, match="^source and target share the label 'source'"):
+        pair_specs(doc, 0)
 
 
 def test_pair_specs_friction_alias():

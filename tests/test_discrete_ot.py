@@ -90,16 +90,6 @@ def test_solve_goes_through_the_module_level_names(monkeypatch):
     assert got.hex() == expected.hex()
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
-def test_block_transpose_is_the_transpose(n):
-    from affine_transport.discrete_ot import _transpose
-
-    a = np.random.default_rng(n).standard_normal((n, n))
-    expected = a.T.copy()
-    _transpose(a)
-    assert np.array_equal(a, expected)
-
-
 def test_solver_columns_are_the_bidders(monkeypatch):
     # the solver starts from zero column duals; on the transposed, shifted
     # matrix every column's minimum is exactly 0, so they are exact
@@ -162,11 +152,32 @@ def _tied(rng, n, d, distinct):
     return rng.standard_normal((distinct, d))[rng.integers(0, distinct, size=n)]
 
 
+def _scaled(scale, seed, n=60):
+    """Two n-row sets of 2-D normal points times scale."""
+    return tuple(scale * np.random.default_rng(s).standard_normal((n, 2)) for s in (seed, seed + 1))
+
+
+def _with_columns(left, right, seed, n=60):
+    """Two n-row sets of 2-D normal points, each with a constant column
+    appended: ``left`` in the first set and ``right`` in the second."""
+    x, y = _scaled(1.0, seed, n)
+    return np.column_stack([x, np.full(n, left)]), np.column_stack([y, np.full(n, right)])
+
+
 # inputs on which an auction without guards hangs, warns or overflows: zero
 # costs give a zero step, a single column has no second-best value, equal
 # costs and repeated rows make bids tie, so a round assigns few rows, and
-# costs above half the float max overflow once the prices are added
+# costs above half the float max overflow once the prices are added. The
+# auction's float32 costs come from points scaled by a power of two: without
+# it, costs at 1e-160 (subnormal in float64) are 0 in float32, and costs at
+# 1e20 and 1e150 are above float32's max. A column constant across both sets
+# is skipped; one constant within each set but not across them is kept
 EDGE_CASES = {
+    "scale-1e-160": _scaled(1e-160, 21),
+    "scale-1e20": _scaled(1e20, 23),
+    "scale-1e150": _scaled(1e150, 25),
+    "constant-column": _with_columns(3.0, 3.0, 27),
+    "constant-0-and-1": _with_columns(0.0, 1.0, 29),
     "all-zero": (np.zeros((5, 2)), np.zeros((5, 2))),
     "all-equal": (np.zeros((6, 2)), np.ones((6, 2))),
     "all-equal-300": (np.zeros((300, 3)), np.full((300, 3), 2.0)),
@@ -197,6 +208,9 @@ EDGE_CASES = {
     "near-float-max": (
         np.array([[0.0], [1.3e154], [0.5e154]]), np.array([[1.3e154], [0.0], [0.2e154]])
     ),
+    # each row bids nearly the largest cost, so the prices are as large as
+    # the quartered costs they are added to
+    "near-float-max-crossed": (np.array([[0.0], [1.3e154]]), np.array([[1.3e154], [0.1e154]])),
     "near-float-max-2d": (
         np.random.default_rng(7).uniform(-4.7e153, 4.7e153, (50, 2)),
         np.random.default_rng(8).uniform(-4.7e153, 4.7e153, (50, 2)),
@@ -211,6 +225,29 @@ def test_warm_start_edge_cases_give_the_plain_solve(case):
         warnings.simplefilter("error")
         got = empirical_w2(x, y)
     assert got.hex() == scipy_w2(x, y).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.integers(1, 120), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from([0, 1, 2, 7]))
+@example(seed=0, n=2, dtype=np.float32, distinct=0)
+def test_auction_prices_stay_under_the_largest_cost_plus_the_start(seed, n, dtype, distinct):
+    # the max/4 overflow guard of empirical_w2 rests on this bound; distinct
+    # = 0 draws every row afresh, otherwise rows repeat and bids tie
+    from affine_transport.discrete_ot import _EPS_STEPS, _auction_prices
+
+    rng = np.random.default_rng(seed)
+    cost = rng.uniform(0.0, rng.choice([1e-3, 1.0, 1e6]), (n, n)).astype(dtype)
+    if distinct:
+        cost = cost[rng.integers(0, min(distinct, n), size=n)]
+    top = cost.max()
+    first_eps, second_eps = (dtype(step * (np.median(cost) or 1.0)) for step in _EPS_STEPS)
+    first = _auction_prices(cost, first_eps, np.zeros(n, dtype=dtype))
+    assert first.dtype == dtype and first.shape == (n,)
+    assert first.max() <= top + first_eps
+    second = _auction_prices(cost, second_eps, first)
+    assert second.dtype == dtype
+    assert second.max() <= top + first.max() + second_eps
 
 
 @settings(max_examples=60, deadline=None)

@@ -45,8 +45,9 @@ MAX_CURVE_GROWTH = 1 << 20
 MAX_CURVE_HOLDOUT_MULTIPLE = 2.5
 # the fingerprint hashes the rows in place
 MAX_FINGERPRINT_ROWS_MULTIPLE = 0.1
-# the solve shifts its cost matrix in place, and the auction that prices it
-# reads the matrix through a buffer of about 1/64 of it
+# the solve shifts its cost matrix in place; the auction that prices it runs
+# first, on a float32 matrix of half the size that is freed before the
+# float64 one is filled, and reads it through a buffer of about 1/64 of it
 MAX_SOLVE_COST_MULTIPLE = 1.05
 
 
