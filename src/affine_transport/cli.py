@@ -42,9 +42,10 @@ from .errors import (
     MissingManifest,
     PairingMismatch,
 )
-from .gaussian_ot import at_map
+from .gaussian_ot import at_map  # not called here; perfbench/tracing.py wraps cli.at_map
 from .discrete_ot import MAX_EXACT
 from .transfer import (
+    _score_pair,
     affinity_score,
     apply,
     evaluate,
@@ -383,9 +384,7 @@ def cmd_learning_curve(args) -> int:
 
 def cmd_score(args) -> int:
     src, tgt = load_csv(args.source), load_csv(args.target)
-    check_paired(src, tgt)
-    transport = at_map(src.rows, tgt.rows)
-    rho = affinity_score(transport.apply(src.rows), tgt.rows)
+    rho = _score_pair(src, tgt)
     print(f"rho_aff={rho!r} n={src.n}")
     if args.out:
         _write_rows(args.out, {"rho_aff": rho, "n": src.n}, args.fmt)

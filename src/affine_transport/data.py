@@ -174,6 +174,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "puck"):
             raise BadSpec(f"unknown domain kind {self.kind!r}")
+        if not isinstance(self.label, str):
+            raise BadSpec(f"domain label must be a string, got {self.label!r}")
         if self.label == "":
             raise BadSpec("domain label must not be empty")
         for field in ("noise_std", "friction_x", "friction_y", "curl", "gravity"):
@@ -326,8 +328,8 @@ def pair_specs(doc: dict, seed: int):
             raise BadSpec(f"unknown domain spec fields: {sorted(unknown)}")
         sides.append(DomainSpec(**fields))
     source, target = sides
-    # each side's noise stream is keyed by its label as text
-    if str(source.label) == str(target.label):
+    # each side's noise stream is keyed by its label
+    if source.label == target.label:
         raise BadSpec(f"source and target share the label {source.label!r}, "
                       "so they would draw the same noise")
     return n, k, source, target

@@ -16,7 +16,9 @@ rotated source moments and the target moments. The moments, the
 moments-to-map kernel and the next-state scoring each run on a stack of pairs
 or maps, and ``fit`` and ``evaluate_pointwise`` call them with a stack of
 one, so the learning curve scores a whole block of repeats in one pass and
-still agrees with them bit for bit.
+still agrees with them bit for bit. ``score`` reads its map from the same
+reduction, and every rho's bound is the ridged target block of one joint
+reduction of the pair it scores.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .errors import (
     NotSymmetric,
     TooFewSamples,
 )
-# at_map is not called here; it stays bound because perfbench/tracing.py
-# wraps transfer.at_map
+# at_map and estimate_moments are not called here; they stay bound because
+# perfbench/tracing.py wraps transfer.at_map and transfer.estimate_moments
 from .gaussian_ot import (
     AffineMap,
     _moments,
@@ -130,9 +132,9 @@ def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarra
     """
     w = mean_s.shape[-1]
     r = _polar(gram[..., w:, :w])
+    sigma_t = _ridged_blocks(n, gram)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         sigma_s = _ridged(r @ (gram[..., :w, :w] / n) @ np.swapaxes(r, -1, -2))
-        sigma_t = _ridged(gram[..., w:, w:] / n)
         mu_s = (r @ mean_s[..., None])[..., 0]
     a, b = _ot_affine(mu_s, sigma_s, mean_t, sigma_t)
     return r, a, b
@@ -252,25 +254,54 @@ def affinity_score(transported: np.ndarray, target: np.ndarray) -> float:
 
     One minus the exact empirical W2 between the sets, normalized by the
     worst-case budget sqrt(2 tr Sigma(target)); clamped to [0, 1]. Close to
-    one means the domains are nearly affinely related.
+    one means the domains are nearly affinely related. Sigma(target) is the
+    ridged target block of one joint reduction of ``[transported | target]``.
     """
     t, y = sample_pair(transported, target, ("transported", "target"))
     _require_spread(y)
-    return _rho_and_bound(empirical_w2(t, y), y)[0]
+    w2 = empirical_w2(t, y)
+    n, _, gram = _moments(t, y)
+    return _rho_and_bound(w2, _ridged_blocks(n, gram)[1])[0]
+
+
+def _score_pair(source: TransitionDataset, target: TransitionDataset) -> float:
+    """``score``'s rho: the source under the Gaussian optimal map between the
+    pair's moments, scored; map and bound read one reduction of the pair."""
+    check_paired(source, target)
+    if source.n < 2:
+        raise TooFewSamples(f"need at least 2 samples to estimate moments, got {source.n}")
+    n, (mean_s, mean_t), gram = _moments(source.rows, target.rows)
+    sigma_s, sigma_t = _ridged_blocks(n, gram)
+    # a map that overflows is rejected by the check on its transported rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _ot_affine(mean_s, sigma_s, mean_t, sigma_t)
+        transported = AffineMap(a, b).apply(source.rows)
+    _require_finite(transported, "transported")
+    _require_spread(target.rows)
+    return _rho_and_bound(empirical_w2(transported, target.rows), sigma_t)[0]
+
+
+def _ridged_blocks(n: int, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covariances (source, target) on the diagonal of ``_moments(source,
+    target)``'s Gram of n rows, for one pair or a stack, ridged by ``_ridged``."""
+    w = gram.shape[-1] // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ridged(gram[..., :w, :w] / n), _ridged(gram[..., w:, w:] / n)
 
 
 def _require_spread(target: np.ndarray) -> None:
-    """Raise DegenerateInput if all the (finite) target rows are equal; ``fit``,
-    ``evaluate`` and ``affinity_score`` check it before any solve. Exact
-    equality, as per-column min == max, which builds no mask of the rows."""
+    """Raise DegenerateInput if all the (finite) target rows are equal; every
+    command that scores or fits checks it before any solve. Exact equality,
+    as per-column min == max, which builds no mask of the rows."""
     if not target.size or (target.min(axis=0) == target.max(axis=0)).all():
         raise DegenerateInput("target samples are all identical; the score is undefined")
 
 
-def _rho_and_bound(w2: float, target: np.ndarray) -> tuple[float, float]:
+def _rho_and_bound(w2: float, sigma_t: np.ndarray) -> tuple[float, float]:
     """``(rho, bound)``: 1 - w2 / bound clamped to [0, 1], and the budget
-    bound = sqrt(2 tr Sigma(target)) it is normalized by."""
-    bound = normal_approx_bound(estimate_moments(target).covariance)
+    bound = sqrt(2 tr sigma_t) it is normalized by; sigma_t is a target block
+    of ``_ridged_blocks``."""
+    bound = normal_approx_bound(sigma_t)
     return min(1.0, max(0.0, 1.0 - w2 / bound)), bound
 
 
@@ -393,7 +424,8 @@ def evaluate(
     _require_spread(target.rows)
     w2_before = empirical_w2(source.rows, target.rows)
     w2_after = empirical_w2(transported, target.rows)
-    rho, bound = _rho_and_bound(w2_after, target.rows)
+    n, _, gram = _moments(transported, target.rows)
+    rho, bound = _rho_and_bound(w2_after, _ridged_blocks(n, gram)[1])
     on_fit = (
         dataset_fingerprint(source) == model.meta.source_hash
         and dataset_fingerprint(target) == model.meta.target_hash

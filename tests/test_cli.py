@@ -690,6 +690,76 @@ def test_score_affine_pair(tmp_path, capsys):
     assert rho >= 0.95
 
 
+def test_score_needs_two_rows_and_two_are_enough(tmp_path, capsys):
+    for n in (2, 1):
+        pair = tmp_path / str(n)
+        pair.mkdir()
+        assert run("synth", "--kind", "puck", "--n", n, "--noise", 0.01, "--out", pair) == 0
+    capsys.readouterr()
+    assert run("score", "--source", tmp_path / "2/source.csv",
+               "--target", tmp_path / "2/target.csv") == 0
+    assert capsys.readouterr().out.endswith(" n=2\n")
+    assert run("score", "--source", tmp_path / "1/source.csv",
+               "--target", tmp_path / "1/target.csv") == 5
+    assert capsys.readouterr().err == (
+        "error[TooFewSamples]: need at least 2 samples to estimate moments, got 1\n"
+    )
+
+
+@pytest.mark.parametrize("n", [3, 512, 700, 4096])
+@pytest.mark.parametrize("kind", ["puck", "linear"])
+def test_fit_eval_and_affinity_score_agree_bit_for_bit(tmp_path, capsys, kind, n):
+    # each rho's bound is the ridged target block of one joint reduction of the
+    # pair it scores, whose bits do not depend on the other side's rows
+    from affine_transport import affinity_score, apply
+
+    pair = tmp_path / "pair"
+    pair.mkdir()
+    assert run("synth", "--kind", kind, "--n", n, "--noise", 0.01, "--seed", 12,
+               "--out", pair) == 0
+    files = ("--source", pair / "source.csv", "--target", pair / "target.csv")
+    model = tmp_path / "model.json"
+    capsys.readouterr()
+    assert run("fit", *files, "--out", model) == 0
+    fit_rho = capsys.readouterr().out.split("rho_aff=")[1].strip()
+    assert run("eval", "--model", model, *files, "--out", tmp_path / "report.json") == 0
+    eval_rho = json.loads((tmp_path / "report.json").read_text())["rho_aff"]
+    src, tgt = load_csv(pair / "source.csv"), load_csv(pair / "target.csv")
+    library_rho = affinity_score(apply(load_model(model), src.rows), tgt.rows)
+    assert fit_rho == repr(eval_rho) == repr(library_rho)
+
+
+def test_score_and_eval_reduce_their_pair_once(tmp_path, monkeypatch):
+    # score maps and bounds its pair from one reduction, eval bounds from one,
+    # and no command reduces a side through estimate_moments
+    from affine_transport import gaussian_ot, transfer
+
+    calls = []
+
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
+    monkeypatch.setattr(transfer, "_moments", counted("_moments", transfer._moments))
+    for module in (gaussian_ot, transfer):
+        monkeypatch.setattr(module, "estimate_moments",
+                            counted("estimate_moments", module.estimate_moments))
+    pair = synth_linear(tmp_path, "pair", n=64)
+    files = ("--source", pair / "source.csv", "--target", pair / "target.csv")
+    model = tmp_path / "model.json"
+    per_command = {}
+    for argv in (["fit", *files, "--out", model],
+                 ["eval", "--model", model, *files, "--out", tmp_path / "report.json"],
+                 ["score", *files],
+                 ["learning-curve", *files, "--sizes", "8", "--repeats", "2",
+                  "--out", tmp_path / "curve.json"]):
+        calls.clear()
+        assert run(*argv) == 0
+        per_command[argv[0]] = list(calls)
+    # fit reduces the pair it fits and the pair its in-sample rho scores
+    assert per_command == {"fit": ["_moments"] * 2, "eval": ["_moments"],
+                           "score": ["_moments"], "learning-curve": ["_moments"]}
+
+
 def test_score_writes_report(tmp_path):
     out = synth_linear(tmp_path, "pair")
     score_path = tmp_path / "score.json"
@@ -997,6 +1067,20 @@ def test_overflowing_moments_name_what_overflowed(tmp_path, capsys, command, lin
     assert not (tmp_path / "out.json").exists()
 
 
+def test_score_overflowing_map_prints_one_error(tmp_path, capsys):
+    # a constant source far from 0 under a map with a huge matrix: the map's
+    # offset overflows, and the transported rows are rejected, with no numpy
+    # warning first
+    rows = np.random.default_rng(0).standard_normal((20, 3))
+    save_dataset(TransitionDataset(1, 1, np.full((20, 3), 2.0**900), "s", 0), tmp_path / "s.csv")
+    save_dataset(TransitionDataset(1, 1, rows * 1e40, "t", 0), tmp_path / "t.csv")
+    capsys.readouterr()
+    assert run("score", "--source", tmp_path / "s.csv", "--target", tmp_path / "t.csv") == 5
+    assert capsys.readouterr().err == (
+        "error[NonFinite]: transported contains NaN or infinite entries\n"
+    )
+
+
 def test_learning_curve_overflowing_holdout_error_prints_one_error(tmp_path, capsys):
     # a0 = 1e308 in one held-out row of both files: its predicted next state is
     # finite, but its error overflows. No numpy warning and no curve with an
@@ -1250,6 +1334,15 @@ SPEC_LINES = {
                     "source and target share the label 'a', so they would draw the same noise"),
     "empty-label": ({"kind": "linear", "n": 10, "target": {"label": ""}},
                     "domain label must not be empty"),
+    # 5 and "5" would key one noise stream, and a manifest reads a label back as text
+    "number-label": ({"kind": "puck", "n": 3, "source": {"label": 5}},
+                     "domain label must be a string, got 5"),
+    "list-label": ({"kind": "puck", "n": 3, "target": {"label": ["x"]}},
+                   "domain label must be a string, got ['x']"),
+    "true-label": ({"kind": "linear", "n": 3, "source": {"label": True}},
+                   "domain label must be a string, got True"),
+    "null-label": ({"kind": "linear", "n": 3, "target": {"label": None}},
+                   "domain label must be a string, got None"),
     "linear-source-gravity": ({"kind": "linear", "n": 10,
                                "source": {"friction_x": 0.2, "friction_y": 0.3, "gravity": 1}},
                               "a linear domain never reads source fields "

@@ -262,6 +262,11 @@ def test_gen_puck_rejects_bad_specs():
         ({"gravity": -1.0}, "gravity must be strictly positive, got -1.0"),
         ({"noise_std": -0.1}, "noise_std must be >= 0, got -0.1"),
         ({"label": ""}, "domain label must not be empty"),
+        # a label keys the noise stream and is written to the manifest as text
+        ({"label": 5}, "domain label must be a string, got 5"),
+        ({"label": True}, "domain label must be a string, got True"),
+        ({"label": None}, "domain label must be a string, got None"),
+        ({"label": ["x"]}, r"domain label must be a string, got \['x'\]"),
     ):
         with pytest.raises(BadSpec, match=f"^{line}$"):
             DomainSpec("puck", **kw)

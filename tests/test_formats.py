@@ -3,9 +3,9 @@
 A dataset (CSV and manifest) and a model are written by the library, an eval
 report (JSON and CSV), a learning curve (CSV) and a score file by the CLI.
 The numbers the CLI writes come from stand-ins for ``evaluate``,
-``learning_curve`` and ``affinity_score``, so the expected text depends only
-on the format: JSON with indent 2, sorted keys and a trailing newline; floats
-as ``repr``; booleans as ``true``/``false``; UTF-8 with LF line endings.
+``learning_curve`` and ``transfer._score_pair``, so the expected text depends
+only on the format: JSON with indent 2, sorted keys and a trailing newline;
+floats as ``repr``; booleans as ``true``/``false``; UTF-8 with LF line endings.
 """
 
 import numpy as np
@@ -133,7 +133,7 @@ def files(tmp_path, monkeypatch):
     points = [LearningCurvePoint(2, 0.1, 1 / 3, 1), LearningCurvePoint(3, 1e-5, 0.0, 1)]
     monkeypatch.setattr(cli, "evaluate", lambda *args: report)
     monkeypatch.setattr(cli, "learning_curve", lambda *args: points)
-    monkeypatch.setattr(cli, "affinity_score", lambda *args: 0.1)
+    monkeypatch.setattr(cli, "_score_pair", lambda *args: 0.1)
     pair = ["--source", data, "--target", data]
     for fmt in ("json", "csv"):
         argv = ["eval", "--model", model, *pair, "--format", fmt,
