@@ -121,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the pair flags leave no attribute unless given, so synth can tell a
-    # flag given at its default from one not given; _doc_from_flags applies
-    # the defaults that the help texts state
+    # flag given at its default from one not given; pair_specs applies the
+    # defaults that the help texts state, but for the puck target friction,
+    # which _doc_from_flags sets
     synth = sub.add_parser(
         "synth",
         parents=[common],
@@ -233,12 +234,11 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 # the synth arguments that combine with --spec; every other one is a pair flag
 _SPEC_ARGS = {"command", "func", "spec", "n", "seed", "out"}
-# the pair flags that only one kind's generator reads
-_KIND_ARGS = {
-    "puck": {"source_friction", "target_friction", "source_curl", "target_curl"},
-    "linear": {"state_dim", "action_dim", "source_scales", "target_scales", "source_invert",
-               "target_invert", "source_disable", "target_disable"},
-}
+# synth's per-side flags, --source-NAME and --target-NAME: NAME -> the side's
+# spec field and the parser of the flag's text, for the list flags
+_SIDE_FLAGS = {"label": ("label", None), "noise": ("noise_std", None), "curl": ("curl", None),
+               "friction": ("friction", _float_list), "scales": ("scales", _float_list),
+               "invert": ("inverted", _int_list), "disable": ("disabled", _int_list)}
 
 
 def _flag_names(names) -> str:
@@ -246,42 +246,27 @@ def _flag_names(names) -> str:
 
 
 def _doc_from_flags(args) -> dict:
-    """The pair spec document that synth's flags describe, as a --spec file holds it."""
-    flags = vars(args)
-    kind = flags.get("kind")
+    """The pair spec document that synth's flags spell: each given flag sets
+    its field, and ``pair_specs`` judges and fills in the rest as a --spec
+    file's. The one default here, the puck target friction, is not a file's."""
+    given = vars(args)
+    kind = given.get("kind")
     if kind is None:
         raise UsageError("synth needs --kind (or a --spec file)")
     if args.n is None:
         raise UsageError("synth needs --n (or a --spec file with 'n')")
-    other = "puck" if kind == "linear" else "linear"
-    unread = set(flags) & _KIND_ARGS[other]
-    if unread:
-        raise UsageError(f"--kind {kind} takes no {other} flags, got {_flag_names(unread)}")
+    flags = {"target_friction": "0.1,0.4"} if kind == "puck" else {}
+    if "noise" in given:
+        flags["source_noise"] = flags["target_noise"] = given["noise"]
+    flags.update(given)
     doc = {"kind": kind, "n": args.n}
-    if kind == "linear":
-        doc["state_dim"], doc["action_dim"] = flags.get("state_dim", 3), flags.get("action_dim", 2)
-    for side, default_friction in (("source", "0.1,0.1"), ("target", "0.1,0.4")):
-        part = {
-            "label": flags.get(f"{side}_label", side),
-            "noise_std": flags.get(f"{side}_noise", flags.get("noise", 0.0)),
-        }
-        if kind == "puck":
-            text = flags.get(f"{side}_friction", default_friction)
-            friction = _float_list(text, f"--{side}-friction")
-            if len(friction) != 2:
-                raise UsageError(f"--{side}-friction expects exactly two numbers, got {text!r}")
-            part["friction"] = tuple(friction)
-            part["curl"] = flags.get(f"{side}_curl", 0.0)
-        else:
-            for field, name, parse in (
-                ("scales", "scales", _float_list),
-                ("inverted", "invert", _int_list),
-                ("disabled", "disable", _int_list),
-            ):
-                text = flags.get(f"{side}_{name}")
-                if text is not None:
-                    part[field] = parse(text, f"--{side}-{name}")
-        doc[side] = part
+    doc.update((key, flags[key]) for key in ("state_dim", "action_dim") if key in flags)
+    for side in ("source", "target"):
+        part = doc[side] = {}
+        for name, (field, parse) in _SIDE_FLAGS.items():
+            flag = f"{side}_{name}"
+            if flag in flags:
+                part[field] = parse(flags[flag], f"--{side}-{name}") if parse else flags[flag]
     return doc
 
 

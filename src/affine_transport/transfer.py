@@ -128,7 +128,8 @@ def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarra
     ``_moments(source, target)`` returns them, all of ``n`` rows. R is the polar
     factor of the cross block; the rotated source moments R mu_s and
     R Sigma_s R^T and the target moments are ridged as ``estimate_moments``
-    ridges them, and (A, b) is the Gaussian optimal map between them.
+    ridges them, and (A, b) is the Gaussian optimal map between them, or
+    NonFinite if it overflows: a finite map passes ``_check_maps``.
     """
     w = mean_s.shape[-1]
     r = _polar(gram[..., w:, :w])
@@ -136,7 +137,9 @@ def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         sigma_s = _ridged(r @ (gram[..., :w, :w] / n) @ np.swapaxes(r, -1, -2))
         mu_s = (r @ mean_s[..., None])[..., 0]
-    a, b = _ot_affine(mu_s, sigma_s, mean_t, sigma_t)
+        a, b = _ot_affine(mu_s, sigma_s, mean_t, sigma_t)
+    _require_finite(a, "transport matrix")
+    _require_finite(b, "offset")
     return r, a, b
 
 
@@ -217,12 +220,10 @@ def fit(source: TransitionDataset, target: TransitionDataset) -> TransferModel:
     The fit reads only the pair's moments (``_moments``): the Procrustes
     rotation R is the polar factor of the cross-covariance of the centred
     rows, and affine transport is fitted from the rotated source moments to
-    the target moments. Raises TooFewSamples below 2 rows and DegenerateInput
-    if the target rows are all equal.
+    the target moments. Raises TooFewSamples below 2 rows, DegenerateInput if
+    the target rows are all equal and NonFinite if the map overflows.
     """
-    check_paired(source, target)
-    if source.n < 2:
-        raise TooFewSamples(f"need at least 2 paired rows to fit, got {source.n}")
+    _require_pair(source, target, "fit")
     # a stack of one through the moments and the kernel the learning curve stacks
     n, means, gram = _moments(source.rows[None], target.rows[None])
     _require_spread(target.rows)
@@ -267,9 +268,7 @@ def affinity_score(transported: np.ndarray, target: np.ndarray) -> float:
 def _score_pair(source: TransitionDataset, target: TransitionDataset) -> float:
     """``score``'s rho: the source under the Gaussian optimal map between the
     pair's moments, scored; map and bound read one reduction of the pair."""
-    check_paired(source, target)
-    if source.n < 2:
-        raise TooFewSamples(f"need at least 2 samples to estimate moments, got {source.n}")
+    _require_pair(source, target, "score")
     n, (mean_s, mean_t), gram = _moments(source.rows, target.rows)
     sigma_s, sigma_t = _ridged_blocks(n, gram)
     # a map that overflows is rejected by the check on its transported rows
@@ -337,9 +336,14 @@ def _check_eval_inputs(dims, source: TransitionDataset, target: TransitionDatase
         raise DimensionMismatch(
             f"datasets have dims ({source.state_dim}, {source.action_dim}), model expects {dims}"
         )
+    _require_pair(source, target, "evaluate")
+
+
+def _require_pair(source: TransitionDataset, target: TransitionDataset, verb: str) -> None:
+    """``check_paired``, and TooFewSamples below the 2 paired rows it takes to ``verb``."""
     check_paired(source, target)
     if source.n < 2:
-        raise TooFewSamples(f"need at least 2 paired rows to evaluate, got {source.n}")
+        raise TooFewSamples(f"need at least 2 paired rows to {verb}, got {source.n}")
 
 
 def evaluate_pointwise(
@@ -477,7 +481,7 @@ def learning_curve(
     pointwise part of the evaluation runs, so no transport is solved and the
     holdout is not limited by the exact solver's cap. Raises BadSpec for
     ``repeats`` below 1 or a size above the pool, TooFewSamples for a size
-    below 2, and NonFinite if a held-out error overflows.
+    below 2, and NonFinite if a fitted map or a held-out error overflows.
     """
     if repeats < 1:
         raise BadSpec(f"repeats must be positive, got {repeats}")
@@ -513,7 +517,6 @@ def learning_curve(
                     pool_s.rows[idx], pool_t.rows[idx]
                 )
             r, a, b = _fit_moments(size, mean_s[:k], mean_t[:k], gram[:k])
-            _check_maps(r, a, b)
             maps = a @ r
             for i in range(0, k, per_score):
                 sub = slice(i, min(i + per_score, k))

@@ -702,7 +702,7 @@ def test_score_needs_two_rows_and_two_are_enough(tmp_path, capsys):
     assert run("score", "--source", tmp_path / "1/source.csv",
                "--target", tmp_path / "1/target.csv") == 5
     assert capsys.readouterr().err == (
-        "error[TooFewSamples]: need at least 2 samples to estimate moments, got 1\n"
+        "error[TooFewSamples]: need at least 2 paired rows to score, got 1\n"
     )
 
 
@@ -1067,18 +1067,35 @@ def test_overflowing_moments_name_what_overflowed(tmp_path, capsys, command, lin
     assert not (tmp_path / "out.json").exists()
 
 
-def test_score_overflowing_map_prints_one_error(tmp_path, capsys):
-    # a constant source far from 0 under a map with a huge matrix: the map's
-    # offset overflows, and the transported rows are rejected, with no numpy
-    # warning first
+def _overflowing_pair(tmp_path) -> tuple:
+    # a constant source far from 0 and a target spread so wide that the
+    # Gaussian map between them has a huge matrix: the map's offset overflows
     rows = np.random.default_rng(0).standard_normal((20, 3))
     save_dataset(TransitionDataset(1, 1, np.full((20, 3), 2.0**900), "s", 0), tmp_path / "s.csv")
     save_dataset(TransitionDataset(1, 1, rows * 1e40, "t", 0), tmp_path / "t.csv")
+    return "--source", tmp_path / "s.csv", "--target", tmp_path / "t.csv"
+
+
+def test_score_overflowing_map_prints_one_error(tmp_path, capsys):
+    # the transported rows are rejected, with no numpy warning first
+    files = _overflowing_pair(tmp_path)
     capsys.readouterr()
-    assert run("score", "--source", tmp_path / "s.csv", "--target", tmp_path / "t.csv") == 5
+    assert run("score", *files) == 5
     assert capsys.readouterr().err == (
         "error[NonFinite]: transported contains NaN or infinite entries\n"
     )
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["learning-curve", "--sizes", "8"]],
+                         ids=["fit", "learning-curve"])
+def test_overflowing_fitted_map_prints_one_error(tmp_path, capsys, argv):
+    # the fitted map is refused as it is fitted, with no numpy warning first,
+    # not later as a malformed model
+    files = _overflowing_pair(tmp_path)
+    capsys.readouterr()
+    assert run(*argv, *files, "--out", tmp_path / "out.json") == 5
+    assert capsys.readouterr().err == "error[NonFinite]: offset contains NaN or infinite entries\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_learning_curve_overflowing_holdout_error_prints_one_error(tmp_path, capsys):
@@ -1237,15 +1254,6 @@ USAGE_LINES = {
                          "--holdout-fraction must be in (0, 1), got 1.5"),
     "negative-seed": (["synth", "--kind", "puck", "--n", "10", "--seed", "-1", "--out", "{tmp}"],
                       "argument --seed: expected a non-negative integer, got -1"),
-    # flags that only the other kind's generator reads
-    "linear-with-puck-flags": (["synth", "--kind", "linear", "--n", "10", "--target-friction",
-                                "0.1,0.4", "--target-curl", "0.3", "--out", "{tmp}"],
-                               "--kind linear takes no puck flags, got --target-curl, "
-                               "--target-friction"),
-    "puck-with-linear-flags": (["synth", "--kind", "puck", "--n", "10", "--target-scales", "2,2",
-                                "--state-dim", "3", "--out", "{tmp}"],
-                               "--kind puck takes no linear flags, got --state-dim, "
-                               "--target-scales"),
 }
 
 
@@ -1255,6 +1263,65 @@ def test_usage_errors_print_their_line(int_work, tmp_path, capsys, argv, line):
     assert main([a.format(pair=int_work / "pair", tmp=tmp_path) for a in argv]) == 1
     assert capsys.readouterr().err == f"usage error: {line}\n"
     assert not list(tmp_path.iterdir())
+
+
+# synth flags that only the other kind's generator reads: refused as the spec
+# document they spell, by pair_specs, with exit 5
+OTHER_KIND_FLAG_LINES = {
+    "linear-with-puck-flags": (["--kind", "linear", "--target-friction", "0.1,0.4",
+                                "--target-curl", "0.3"],
+                               "a linear domain never reads target fields ['curl', 'friction']"),
+    "puck-with-linear-flags": (["--kind", "puck", "--target-scales", "2,2", "--state-dim", "3"],
+                               "a puck pair never reads spec file fields ['state_dim']"),
+}
+
+
+@pytest.mark.parametrize("flags, line", list(OTHER_KIND_FLAG_LINES.values()),
+                         ids=list(OTHER_KIND_FLAG_LINES))
+def test_other_kind_flags_print_their_bad_spec_line(tmp_path, capsys, flags, line):
+    assert run("synth", *flags, "--n", 10, "--out", tmp_path) == 5
+    assert capsys.readouterr().err == f"error[BadSpec]: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+# synth's flags, the spec document they spell, which must run alike, and the
+# exit code of both
+FLAG_DOCS = {
+    "puck": (["--kind", "puck", "--n", "40", "--noise", "0.02", "--source-friction", "0.2,0.3",
+              "--target-curl", "0.4", "--source-label", "a", "--target-label", "b"],
+             {"kind": "puck", "n": 40,
+              "source": {"label": "a", "noise_std": 0.02, "friction": [0.2, 0.3]},
+              "target": {"label": "b", "noise_std": 0.02, "friction": [0.1, 0.4], "curl": 0.4}},
+             0),
+    "linear": (["--kind", "linear", "--n", "30", "--state-dim", "2", "--action-dim", "3",
+                "--target-noise", "0.1", "--target-scales", "2,0.5", "--target-invert", "1",
+                "--source-disable", "0"],
+               {"kind": "linear", "n": 30, "state_dim": 2, "action_dim": 3,
+                "source": {"disabled": [0]},
+                "target": {"noise_std": 0.1, "scales": [2, 0.5], "inverted": [1]}}, 0),
+    "linear-target-curl": (["--kind", "linear", "--n", "10", "--target-curl", "0.3"],
+                           {"kind": "linear", "n": 10, "target": {"curl": 0.3}}, 5),
+    "puck-state-dim": (["--kind", "puck", "--n", "10", "--state-dim", "3"],
+                       {"kind": "puck", "n": 10, "state_dim": 3,
+                        "target": {"friction": [0.1, 0.4]}}, 5),
+    "friction-one-number": (["--kind", "puck", "--n", "10", "--target-friction", "0.1"],
+                            {"kind": "puck", "n": 10, "target": {"friction": [0.1]}}, 5),
+}
+
+
+@pytest.mark.parametrize("flags, doc, code", list(FLAG_DOCS.values()), ids=list(FLAG_DOCS))
+def test_synth_flags_run_as_the_spec_document_they_spell(tmp_path, capsys, flags, doc, code):
+    (tmp_path / "pair.json").write_text(json.dumps(doc))
+    results = []
+    for name, argv in (("flags", flags), ("spec", ["--spec", tmp_path / "pair.json"])):
+        out = tmp_path / name
+        out.mkdir()
+        exit_code = run("synth", *argv, "--seed", 3, "--out", out)
+        std = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        results.append((exit_code, std.out.replace(str(out), "OUT"), std.err, files))
+    assert results[0] == results[1]
+    assert (results[0][0], len(results[0][3])) == (code, 4 if code == 0 else 0)
 
 
 def test_module_entry_point_exits_with_mains_code(tmp_path):
