@@ -26,7 +26,8 @@ from .data import (
     check_paired,
     gen_linear,
     gen_puck,
-    load_csv,
+    load_csv,  # not called here; kept bound for perfbench/tracing.py, which wraps cli.load_csv
+    load_pair,
     pair_specs,
     rng_stream,
     save_dataset,
@@ -301,7 +302,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fit(args) -> int:
     out = _require_out(args)
-    src, tgt = load_csv(args.source), load_csv(args.target)
+    src, tgt = load_pair(args.source, args.target)
     model = fit(src, tgt)
     frob = float(np.linalg.norm(model.composed.matrix))
     # scored before the model is written, so a failing fit leaves no file
@@ -331,7 +332,7 @@ def _write_rows(path, doc, fmt) -> None:
 def cmd_eval(args) -> int:
     out = _require_out(args)
     model = load_model(args.model)
-    src, tgt = load_csv(args.source), load_csv(args.target)
+    src, tgt = load_pair(args.source, args.target)
     report = evaluate(model, src, tgt)
     _write_rows(out, dataclasses.asdict(report), args.fmt)
     log.info("wrote report to %s", out)
@@ -351,7 +352,7 @@ def cmd_learning_curve(args) -> int:
         raise UsageError(
             f"--holdout-fraction must be in (0, 1), got {args.holdout_fraction}"
         )
-    src, tgt = load_csv(args.source), load_csv(args.target)
+    src, tgt = load_pair(args.source, args.target)
     check_paired(src, tgt)
     fractions = (1.0 - args.holdout_fraction, args.holdout_fraction)
     pool_s, hold_s = split(src, fractions, args.seed)
@@ -368,7 +369,7 @@ def cmd_learning_curve(args) -> int:
 
 
 def cmd_score(args) -> int:
-    src, tgt = load_csv(args.source), load_csv(args.target)
+    src, tgt = load_pair(args.source, args.target)
     rho = _score_pair(src, tgt)
     print(f"rho_aff={rho!r} n={src.n}")
     if args.out:

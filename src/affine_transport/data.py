@@ -17,7 +17,11 @@ import itertools
 import json
 import math
 import numbers
+import os
+import pickle
 import re
+import signal
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +46,7 @@ __all__ = [
     "gen_linear",
     "gen_puck",
     "load_csv",
+    "load_pair",
     "save_dataset",
     "split",
     "subset",
@@ -58,6 +63,12 @@ _WRITE_CHUNK = 4096
 _READ_CHUNK = 1 << 16
 # where loadtxt's message places a fault, counted from its own first row
 _LOADTXT_AT = re.compile(r" at row \d+|; use `usecols`.*")
+# rows from which save_dataset formats half its chunks, and load_pair parses
+# the target, in a forked child (_forked): the first size at which a sweep of
+# 2048 to 200000 rows saw both gain clearly; one chunk gives the child nothing
+_FORK_MIN_ROWS = 8192
+# the length of a message through _forked's pipe; a negative one is a pickled exception's
+_FRAME = struct.Struct("<q")
 
 
 def rng_stream(seed: int, *tags) -> np.random.Generator:
@@ -477,29 +488,41 @@ def save_dataset(ds: TransitionDataset, csv_path, paired=None) -> Path:
     ``paired`` is an optional ``(dataset, csv_path)`` pair for ``ds``, written
     in the same pass with its own manifest. Where the two sides hold bitwise
     equal states and actions, those cells are formatted once for both files.
-    Rewriting the same dataset is byte identical, alone or paired.
+    From ``_FORK_MIN_ROWS`` rows, where ``os.fork`` exists, a forked child
+    formats every other chunk of rows while this process formats the rest and
+    writes them all in order; the bytes, errors and exit codes are those of
+    one process. Rewriting the same dataset is byte identical, alone or paired.
     """
     sides = [(ds, csv_path)]
     if paired is not None:
         check_paired(ds, paired[0])
         sides.append(paired)
+    datasets = [side for side, _ in sides]
     header = ",".join(_header(ds.state_dim, ds.action_dim)) + "\n"
-    shared = ds.state_dim + ds.action_dim
+    starts = range(0, ds.n, _WRITE_CHUNK)
+
+    def format_odd_chunks():
+        for start in starts[1::2]:
+            for text in _chunk_texts(datasets, start):
+                yield text.encode()
+
     with contextlib.ExitStack() as stack:
+        receive = None
+        # forked before the files are opened, so the child holds none of them
+        if ds.n >= _FORK_MIN_ROWS and hasattr(os, "fork"):
+            receive = stack.enter_context(_forked(format_odd_chunks, f"format {csv_path}"))
         files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
                  for _, path in sides]
         for f in files:
             f.write(header)
-        for start in range(0, ds.n, _WRITE_CHUNK):
-            blocks = [side.rows[start : start + _WRITE_CHUNK] for side, _ in sides]
-            heads = [_float_lines(blocks[0][:, :shared])]
-            if paired is not None:
-                # bitwise, not ==: -0.0 == 0.0, but their reprs differ
-                same = np.array_equal(*(block[:, :shared].view(np.uint64) for block in blocks))
-                heads.append(heads[0] if same else _float_lines(blocks[1][:, :shared]))
-            for f, block, head in zip(files, blocks, heads):
-                tails = _float_lines(block[:, shared:])
-                f.write("".join([f"{h},{t}\n" for h, t in zip(head, tails)]))
+        for i, start in enumerate(starts):
+            if receive and i % 2:
+                texts = (receive().decode() for _ in files)
+            else:
+                texts = _chunk_texts(datasets, start)
+            # one side's text at a time: each is written before the next is made
+            for f in files:
+                f.write(next(texts))
     for side, path in sides:
         _write_json(manifest_path_for(path), {
             "state_dim": side.state_dim,
@@ -508,6 +531,92 @@ def save_dataset(ds: TransitionDataset, csv_path, paired=None) -> Path:
             "seed": side.seed,
         })
     return manifest_path_for(csv_path)
+
+
+def _chunk_texts(datasets, start: int):
+    """The CSV lines of rows ``start`` to ``start + _WRITE_CHUNK``, one text
+    per dataset, in turn. The datasets are paired; where the second holds
+    bitwise equal states and actions, its cells are the first's text."""
+    blocks = [ds.rows[start : start + _WRITE_CHUNK] for ds in datasets]
+    shared = datasets[0].state_dim + datasets[0].action_dim
+    heads = [_float_lines(blocks[0][:, :shared])]
+    if len(blocks) > 1:
+        # bitwise, not ==: -0.0 == 0.0, but their reprs differ
+        same = np.array_equal(*(block[:, :shared].view(np.uint64) for block in blocks))
+        heads.append(heads[0] if same else _float_lines(blocks[1][:, :shared]))
+    for block, head in zip(blocks, heads):
+        yield "".join([f"{h},{t}\n" for h, t in zip(head, _float_lines(block[:, shared:]))])
+
+
+@contextlib.contextmanager
+def _forked(work, what: str):
+    """Run ``work()`` in a forked child while the ``with`` block runs here.
+
+    ``work`` yields bytes-like messages, which go through a pipe. The block
+    gets ``receive``: ``receive()`` returns the child's next message,
+    ``receive(array)`` reads it into that array, whose size it must have.
+    Where ``work`` raised, ``receive`` raises its exception instead; where
+    the child ended before its next message, ChildProcessError naming
+    ``what`` it was forked to do. The child leaves only through ``os._exit``,
+    so it runs no exit handler and flushes no buffer it inherited. It is
+    reaped on every path; a block that raises closes the pipe and kills the
+    child first, so a child blocked on a full pipe cannot hang it.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        # the work save_dataset and load_pair hand a child calls no BLAS
+        # routine, so a fork after numpy's BLAS threads have started is safe:
+        # the child never touches their locks. Keep it so
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    for message in work():
+                        pipe.write(_FRAME.pack(memoryview(message).nbytes))
+                        pipe.write(message)
+                except Exception as exc:
+                    message = pickle.dumps(exc)
+                    pipe.write(_FRAME.pack(-len(message)) + message)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    reaped = False
+
+    def receive(into=None):
+        nonlocal reaped
+        head = pipe.read(_FRAME.size)
+        if len(head) == _FRAME.size:
+            (size,) = _FRAME.unpack(head)
+            if size < 0:
+                raise pickle.loads(pipe.read(-size))  # written by this program's child
+            if into is None:
+                data = pipe.read(size)
+                if len(data) == size:
+                    return data
+            elif pipe.readinto(memoryview(into).cast("B")) == size:
+                return None
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        raise ChildProcessError(f"the process forked to {what} ended with no reply "
+                                f"(exit code {os.waitstatus_to_exitcode(status)})")
+
+    try:
+        with open(read_end, "rb") as pipe:
+            yield receive
+    except BaseException:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if not reaped:
+            os.waitpid(pid, 0)
 
 
 def _float_lines(block: np.ndarray) -> list[str]:
@@ -548,6 +657,46 @@ def load_csv(csv_path) -> TransitionDataset:
     rows = _read_rows(csv_path, d, k)
     rows.setflags(write=False)
     return TransitionDataset(d, k, rows, label, seed)
+
+
+def load_pair(source_path, target_path) -> tuple[TransitionDataset, TransitionDataset]:
+    """``(load_csv(source_path), load_csv(target_path))``: the same datasets
+    and the same errors, the source's first where both files are bad.
+
+    A target of ``_FORK_MIN_ROWS`` lines or more is parsed by ``load_csv`` in
+    a forked child while this process parses the source, and its rows are
+    read from the child into their final array. Below that, or where
+    ``os.fork`` is missing, both files are parsed here in turn.
+    """
+    if not hasattr(os, "fork") or _fewer_lines(target_path, _FORK_MIN_ROWS):
+        return load_csv(source_path), load_csv(target_path)
+
+    def parse_target():
+        target = load_csv(target_path)
+        yield pickle.dumps((target.state_dim, target.action_dim, target.domain_label,
+                            target.seed, target.n))
+        yield target.rows
+
+    with _forked(parse_target, f"read {target_path}") as receive:
+        source = load_csv(source_path)
+        d, k, label, seed, n = pickle.loads(receive())
+        rows = np.empty((n, 2 * d + k))
+        receive(rows)
+    rows.setflags(write=False)
+    return source, TransitionDataset(d, k, rows, label, seed)
+
+
+def _fewer_lines(path, count: int) -> bool:
+    """Whether the file at ``path`` holds fewer than ``count`` lines, read no
+    further than that; False where it cannot be read."""
+    lines = 0
+    try:
+        with open(path, "rb") as f:
+            while lines < count and (block := f.read(_READ_CHUNK)):
+                lines += block.count(b"\n")
+    except OSError:
+        return False
+    return lines < count
 
 
 def _read_rows(csv_path: Path, d: int, k: int) -> np.ndarray:

@@ -60,7 +60,7 @@ from .gaussian_ot import (
     estimate_moments,
     normal_approx_bound,
 )
-from .linalg import _checked_eigh, _first, _readonly, _require_finite, sample_pair
+from .linalg import _checked_eigh, _readonly, _require_finite, sample_pair
 
 __all__ = [
     "FitMeta",
@@ -129,7 +129,7 @@ def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarra
     factor of the cross block; the rotated source moments R mu_s and
     R Sigma_s R^T and the target moments are ridged as ``estimate_moments``
     ridges them, and (A, b) is the Gaussian optimal map between them, or
-    NonFinite if it overflows: a finite map passes ``_check_maps``.
+    NonFinite if it overflows: a finite map passes ``_check_map``.
     """
     w = mean_s.shape[-1]
     r = _polar(gram[..., w:, :w])
@@ -143,18 +143,16 @@ def _fit_moments(n: int, mean_s: np.ndarray, mean_t: np.ndarray, gram: np.ndarra
     return r, a, b
 
 
-def _check_maps(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+def _check_map(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Raise MalformedModel unless R is finite and orthogonal, A passes
-    ``_checked_eigh`` (finite, symmetric, PSD) and the offset b is finite, for
-    one map (R and A (w, w), b (w,)) or stacks of them; each check reports the
-    first failing map of a stack, R's checks before A's before b's."""
+    ``_checked_eigh`` (finite, symmetric, PSD) and the offset b is finite,
+    for R and A (w, w) and b (w,); R's checks come before A's before b's."""
     try:
         _require_finite(r, "rotation")
         with np.errstate(over="ignore", invalid="ignore"):
-            ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(r.shape[-1])).max(axis=(-2, -1))
-        bad = _first(~(ortho <= _ORTHO_TOL), ortho)
-        if bad:
-            raise MalformedModel(f"rotation is not orthogonal: |R^T R - I| = {bad[0]:.3e}")
+            ortho = np.abs(r.T @ r - np.eye(len(r))).max()
+        if not ortho <= _ORTHO_TOL:
+            raise MalformedModel(f"rotation is not orthogonal: |R^T R - I| = {ortho:.3e}")
         _checked_eigh(a, "transport matrix")
         _require_finite(b, "offset")
     except (NonFinite, NotSymmetric, IndefiniteMatrix) as exc:
@@ -200,7 +198,7 @@ class TransferModel:
             raise MalformedModel(
                 f"transport matrix has shape {self.at.matrix.shape}, expected ({d}, {d})"
             )
-        _check_maps(r, self.at.matrix, self.at.offset)
+        _check_map(r, self.at.matrix, self.at.offset)
         object.__setattr__(self, "rotation", r)
 
     @property

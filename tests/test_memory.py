@@ -6,6 +6,9 @@ exact W2 solve holds its cost matrix and little more.
 
 tracemalloc sees numpy's buffers as well as Python objects. The peak counts
 what the call returns, so reading a dataset costs at least its rows once.
+It sees only this process: where saving and reading a pair fork a child
+(``data._FORK_MIN_ROWS``), the bounds hold for the parent, and the child's
+own memory is not counted.
 """
 
 import tracemalloc
@@ -15,11 +18,13 @@ import pytest
 
 from affine_transport import (
     at_map,
+    data,
     dataset_fingerprint,
     empirical_w2,
     estimate_moments,
     fit,
     load_csv,
+    load_pair,
     save_dataset,
     subset,
 )
@@ -55,7 +60,7 @@ MAX_SOLVE_COST_MULTIPLE = 1.05
 def saved_pair(tmp_path_factory):
     source, target = linear_pair(3, N, noise=0.01, target_scales=(2.0, 0.5, 1.3))
     path = tmp_path_factory.mktemp("bulk") / "source.csv"
-    save_dataset(source, path)
+    save_dataset(source, path, paired=(target, path.with_name("target.csv")))
     return source, target, path
 
 
@@ -93,6 +98,26 @@ def test_peak_memory_is_a_small_multiple_of_the_rows(saved_pair, tmp_path, step)
     assert peak <= bound * source.rows.nbytes, (
         f"{step} peaked at {peak / source.rows.nbytes:.2f}x the rows' {source.rows.nbytes} bytes"
     )
+
+
+@pytest.mark.parametrize("way", ["one-process", "fork"])
+@pytest.mark.parametrize("step", ["load_pair", "save_dataset", "save_pair"])
+def test_bulk_io_peak_holds_in_this_process_on_both_paths(saved_pair, tmp_path, monkeypatch,
+                                                          step, way):
+    source, target, path = saved_pair
+    monkeypatch.setattr(data, "_FORK_MIN_ROWS", 0 if way == "fork" else 1 << 62)
+    calls = {
+        "load_pair": (load_pair, path, path.with_name("target.csv")),
+        "save_dataset": (save_dataset, source, tmp_path / "copy.csv"),
+        "save_pair": (save_dataset, source, tmp_path / "copy.csv", (target, tmp_path / "other.csv")),
+    }
+    # reading keeps both files' rows; writing is bounded by one side's rows, as above
+    if step == "load_pair":
+        limit = MAX_LOAD_ROWS_MULTIPLE * (source.rows.nbytes + target.rows.nbytes)
+    else:
+        limit = MAX_ROWS_MULTIPLE * source.rows.nbytes
+    peak = _peak_bytes(*calls[step])
+    assert peak <= limit, f"{step} on the {way} path peaked at {peak} bytes, above {limit:.0f}"
 
 
 def test_fingerprint_copies_no_rows(saved_pair):

@@ -24,15 +24,15 @@ PUBLIC = {
     "affinity_score", "apply", "at_map", "check_paired", "dataset_fingerprint",
     "empirical_w2", "estimate_moments", "evaluate", "evaluate_pointwise", "fit",
     "gaussian_ot_map", "gaussian_w2", "gelbrich_gap_bound", "gen_linear",
-    "gen_puck", "learning_curve", "load_csv", "load_model", "normal_approx_bound",
-    "pair_specs", "pointwise_error", "procrustes", "rng_stream", "save_dataset", "save_model",
+    "gen_puck", "learning_curve", "load_csv", "load_model", "load_pair",
+    "normal_approx_bound", "pair_specs", "pointwise_error", "procrustes", "rng_stream", "save_dataset", "save_model",
     "spd_sqrt", "split", "subset",
 }
 
 
 def test_public_names_are_the_modules_all_lists():
     names = affine_transport.__all__
-    assert len(names) == len(set(names)) == 53
+    assert len(names) == len(set(names)) == 54
     assert set(names) == PUBLIC
     for name in names:
         assert hasattr(affine_transport, name), name

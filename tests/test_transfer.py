@@ -235,26 +235,26 @@ def test_model_constructor_rejects_tampering():
 
 
 @pytest.mark.parametrize("which", ["rotation", "asymmetric", "indefinite", "offset"])
-def test_stacked_model_checks_report_the_first_failing_map(which):
-    from affine_transport.transfer import _check_maps
-
+def test_model_checks_report_the_first_failing_check(which):
     skew = np.eye(3)
     skew[0, 1] = 0.5
-    eye, zero = np.eye(3), np.zeros(3)
-    r, a, b = {
-        "rotation": (skew, eye, zero),
-        "asymmetric": (eye, skew, zero),
-        "indefinite": (eye, np.diag([1.0, 1.0, -1.0]), zero),
-        "offset": (eye, eye, np.array([np.nan, 0.0, 0.0])),
+    eye, zero, nan = np.eye(3), np.zeros(3), np.array([np.nan, 0.0, 0.0])
+    indefinite = np.diag([1.0, 1.0, -1.0])
+    # the map fails `which` and every later check; `alone` fails only `which`
+    bad, alone, start = {
+        "rotation": ((skew, skew, nan), (skew, eye, zero), "rotation is not orthogonal"),
+        "asymmetric": ((eye, skew, nan), (eye, skew, zero), "transport matrix is not symmetric"),
+        "indefinite": ((eye, indefinite, nan), (eye, indefinite, zero),
+                       "transport matrix has eigenvalue"),
+        "offset": ((eye, eye, nan), (eye, eye, nan), "offset contains NaN"),
     }[which]
     meta = FitMeta(n_fit=2, seed=None, source_hash="", target_hash="")
-    with pytest.raises(MalformedModel) as single:
-        TransferModel(r, AffineMap(a, b), 1, 1, meta)
-    # the third map fails the same check as the second, with another value
-    r2 = 2.0 * r if which == "rotation" else r
-    with pytest.raises(MalformedModel) as stacked:
-        _check_maps(np.stack([eye, r, r2]), np.stack([eye, a, 2.0 * a]), np.stack([zero, b, -b]))
-    assert str(stacked.value) == str(single.value)
+    messages = []
+    for r, a, b in (bad, alone):
+        with pytest.raises(MalformedModel) as caught:
+            TransferModel(r, AffineMap(a, b), 1, 1, meta)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] and messages[0].startswith(start)
 
 
 def test_affinity_identical_sets():
